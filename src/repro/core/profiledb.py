@@ -12,7 +12,10 @@ the parallel driver (:mod:`repro.parallel`), so decoding is defensive:
 every malformed input — truncated buffers, out-of-range string-table
 indices, bad tags, unbounded varints — raises :class:`ProfileError`
 instead of leaking ``IndexError``/``UnicodeDecodeError`` from the guts
-of the parser.
+of the parser.  Decoding is one pass: after the string table, the body
+becomes one list of varint values (single-byte runs copied in C, only
+multi-byte varints decoded in Python), then one iterative walk builds
+the CCTs, memoizing node keys and info dicts on their value spans.
 
 Format version 2 adds a small string-keyed metadata section to the
 header (used by the parallel merge to report partial results); version 1
@@ -21,6 +24,7 @@ payloads (no metadata) still decode.
 
 from __future__ import annotations
 
+import re
 import struct
 import sys
 from typing import Iterator
@@ -46,16 +50,26 @@ def _obs_session():
 
 # -- varint codec --------------------------------------------------------------
 
-# Metric values are non-negative cycle/sample counts; 64 bits of varint
-# (10 continuation groups) is the largest value a well-formed encoder
-# emits.  The cap turns a corrupt continuation-bit run into a clean
-# ProfileError instead of an unbounded shift.
+# Metric values are non-negative cycle/sample counts.  A varint is at
+# most 10 bytes (the last group lands at shift 63), so the decoder reads
+# values below 2**70; the cap turns a corrupt continuation-bit run into a
+# clean ProfileError instead of an unbounded shift.  The encoder refuses
+# anything outside that domain, so every profile it writes reads back.
 _MAX_UVARINT_SHIFT = 63
+_MAX_UVARINT_BYTES = _MAX_UVARINT_SHIFT // 7 + 1
+_UVARINT_LIMIT = 1 << (7 * _MAX_UVARINT_BYTES)
 
 
 def _write_uvarint(out: bytearray, value: int) -> None:
-    if value < 0:
-        raise ProfileError(f"uvarint cannot encode negative value {value}")
+    # Most values fit one byte; checking that case first keeps the domain
+    # check off the encoder's common path.
+    if 0 <= value < 0x80:
+        out.append(value)
+        return
+    if not 0 <= value < _UVARINT_LIMIT:
+        raise ProfileError(
+            f"uvarint cannot encode {value}: outside [0, 2**{7 * _MAX_UVARINT_BYTES})"
+        )
     while True:
         byte = value & 0x7F
         value >>= 7
@@ -126,43 +140,6 @@ _N_METRIC_LEVELS = len(MetricVector().levels)
 _N_METRIC_FIELDS = 5 + _N_METRIC_LEVELS
 
 
-def _read_metric_block(buf: bytes, pos: int) -> tuple[list[int], int]:
-    """Decode one node's fixed run of metric varints.
-
-    This is the decoder's hot loop (most of a profile is metric varints,
-    and most of those fit one byte), so the single-byte case is inlined
-    and the whole block costs one function call per node instead of one
-    per field.  Semantics match :func:`_read_uvarint` exactly, including
-    the truncation and shift-cap errors.
-    """
-    values = []
-    append = values.append
-    blen = len(buf)
-    for _ in range(_N_METRIC_FIELDS):
-        if pos >= blen:
-            raise ProfileError("truncated uvarint")
-        byte = buf[pos]
-        pos += 1
-        if byte < 0x80:
-            append(byte)
-            continue
-        result = byte & 0x7F
-        shift = 7
-        while True:
-            if pos >= blen:
-                raise ProfileError("truncated uvarint")
-            byte = buf[pos]
-            pos += 1
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-            if shift > _MAX_UVARINT_SHIFT:
-                raise ProfileError("uvarint exceeds 64 bits (corrupt continuation run)")
-        append(result)
-    return values, pos
-
-
 def _encode_node_header(node: CCTNode, out: bytearray, strings: _StringTable) -> None:
     key = node.key
     _write_uvarint(out, len(key))
@@ -213,66 +190,145 @@ def _encode_node(
         stack.append(iter(children))
 
 
-def _decode_node_header(
-    buf: bytes, pos: int, strings: list[str]
-) -> tuple[CCTNode, int, int]:
-    """Decode one node's key/info/metrics; returns (node, n_children, pos)."""
-    key_len, pos = _checked_count(buf, pos, "key element")
-    key_elements = []
-    for _ in range(key_len):
-        if pos >= len(buf):
-            raise ProfileError("truncated key element tag")
-        tag = buf[pos]
-        pos += 1
-        raw, pos = _read_uvarint(buf, pos)
+# -- one-pass decoder ------------------------------------------------------------
+#
+# After the string table every body byte belongs to a varint: key tags
+# are raw bytes, but valid tags are below 0x80, so they read as one-byte
+# varints.  ``_varint_stream`` turns the body into one list of values and
+# ``_decode_tree`` walks that list once per CCT.
+
+# A multi-byte varint: continuation bytes, then a terminator.  Leading
+# with a single character class (not ``[...]+``) lets ``re`` scan for
+# the first continuation byte with its fast prefix search.
+_MULTI_BYTE_VARINT_RE = re.compile(rb"([\x80-\xff][\x80-\xff]*[\x00-\x7f])")
+
+
+def _varint_stream(body: bytes) -> tuple[list[int], set[int]]:
+    """Decode every varint of ``body`` into one list.
+
+    Runs of one-byte varints are copied in C with ``list.extend``; only
+    multi-byte varints cost Python work.  Also returns the positions of
+    multi-byte varints whose value is a valid key tag (0-2): only a
+    non-minimal encoding gives a multi-byte varint such a small value,
+    and at a tag position it stands for a tag byte >= 0x80, which the
+    walk must reject.
+    """
+    if body and body[-1] & 0x80:
+        raise ProfileError("truncated uvarint")
+    parts = _MULTI_BYTE_VARINT_RE.split(body)
+    values = list(parts[0])
+    append = values.append
+    extend = values.extend
+    multibyte_tags: set[int] = set()
+    for token, run in zip(parts[1::2], parts[2::2]):
+        if len(token) == 2:
+            value = token[0] & 0x7F | token[1] << 7
+        else:
+            if len(token) > _MAX_UVARINT_BYTES:
+                raise ProfileError("uvarint exceeds 64 bits (corrupt continuation run)")
+            value = 0
+            for byte in reversed(token):
+                value = value << 7 | byte & 0x7F
+        if value <= _TAG_NEG:
+            multibyte_tags.add(len(values))
+        append(value)
+        extend(run)
+    return values, multibyte_tags
+
+
+def _decode_header(
+    span: tuple[int, ...], key_len: int, strings: list[str]
+) -> tuple[tuple, dict | None]:
+    """Key tuple and info dict of one node header value span.
+
+    ``span`` is ``key_len, (tag, raw) * key_len, info_len, (k, v) *
+    info_len``.  Only called on a memo miss, so it validates everything.
+    """
+    if len(span) != 2 + 2 * key_len + 2 * span[1 + 2 * key_len]:
+        raise ProfileError("truncated node header")
+    key: list[str | int] = []
+    for t in range(1, 1 + 2 * key_len, 2):
+        tag, raw = span[t], span[t + 1]
         if tag == _TAG_STR:
-            key_elements.append(_string_at(strings, raw))
+            key.append(_string_at(strings, raw))
         elif tag == _TAG_INT:
-            key_elements.append(raw)
+            key.append(raw)
         elif tag == _TAG_NEG:
-            key_elements.append(-raw)
+            key.append(-raw)
         else:
             raise ProfileError(f"bad key tag {tag}")
-    node = CCTNode(tuple(key_elements))
-    info_len, pos = _checked_count(buf, pos, "info entry")
-    if info_len:
-        info = {}
-        for _ in range(info_len):
-            k, pos = _read_uvarint(buf, pos)
-            v, pos = _read_uvarint(buf, pos)
-            info[_string_at(strings, k)] = _string_at(strings, v)
-        node.info = info
-    values, pos = _read_metric_block(buf, pos)
-    m = MetricVector()
-    m.samples, m.latency, m.events, m.tlb_misses, m.stores = values[:5]
-    m.levels = values[5:]
-    node.metrics = m
-    n_children, pos = _checked_count(buf, pos, "child")
-    return node, n_children, pos
+    info_span = span[2 + 2 * key_len:]
+    if not info_span:
+        return tuple(key), None
+    info: dict[str, str] = {}
+    for t in range(0, len(info_span), 2):
+        info[_string_at(strings, info_span[t])] = _string_at(strings, info_span[t + 1])
+    return tuple(key), info
 
 
-def _decode_node(buf: bytes, pos: int, strings: list[str]) -> tuple[CCTNode, int]:
-    """Iteratively decode a node subtree.
+def _decode_tree(
+    values: list[int], i: int, strings: list[str], multibyte_tags: set[int],
+    memo: dict[tuple[int, ...], tuple[tuple, dict | None]],
+) -> tuple[CCTNode, int]:
+    """Build the CCT whose root node starts at ``values[i]``.
 
-    An explicit stack (rather than recursion) keeps adversarially deep
-    inputs from turning into ``RecursionError`` half-way through a parse.
+    Iterative pre-order walk, so adversarially deep inputs cannot raise
+    ``RecursionError``.  ``memo`` maps a node's key+info value span to
+    its decoded key and info (spans repeat across contexts); each node
+    gets its own copy of the info dict so decoded nodes never alias.
+    Nodes are built slot by slot, skipping the default ``MetricVector``
+    that ``CCTNode()`` would allocate.  Running off the end of
+    ``values`` raises ``IndexError``; the caller maps it to
+    :class:`ProfileError`.
     """
-    root, n_children, pos = _decode_node_header(buf, pos, strings)
-    stack: list[tuple[CCTNode, int]] = [(root, n_children)]
-    while stack:
-        node, remaining = stack[-1]
-        if remaining == 0:
-            stack.pop()
-            if stack:
-                parent = stack[-1][0]
-                if node.key in parent.children:
-                    raise ProfileError(f"duplicate child key {node.key}")
-                parent.children[node.key] = node
+    new_node = CCTNode.__new__
+    new_metrics = MetricVector.__new__
+    n_fields = _N_METRIC_FIELDS
+    holder: dict[tuple, CCTNode] = {}
+    parent = holder
+    remaining = 1
+    stack: list[tuple[dict[tuple, CCTNode], int]] = []
+    while True:
+        if not remaining:
+            if not stack:
+                break
+            parent, remaining = stack.pop()
             continue
-        stack[-1] = (node, remaining - 1)
-        child, n_kids, pos = _decode_node_header(buf, pos, strings)
-        stack.append((child, n_kids))
-    return root, pos
+        remaining -= 1
+        key_len = values[i]
+        j = i + 1 + 2 * key_len
+        k = j + 1 + 2 * values[j]
+        span = tuple(values[i:k])
+        header = memo.get(span)
+        if header is None:
+            header = memo[span] = _decode_header(span, key_len, strings)
+        if multibyte_tags and not multibyte_tags.isdisjoint(range(i + 1, j, 2)):
+            raise ProfileError("bad key tag (multi-byte)")
+        key, info = header
+        n_children = values[k + n_fields]
+        m = new_metrics(MetricVector)
+        m.samples = values[k]
+        m.latency = values[k + 1]
+        m.events = values[k + 2]
+        m.tlb_misses = values[k + 3]
+        m.stores = values[k + 4]
+        m.levels = values[k + 5:k + n_fields]
+        node = new_node(CCTNode)
+        node.key = key
+        node.info = None if info is None else info.copy()
+        node.metrics = m
+        children: dict[tuple, CCTNode] = {}
+        node.children = children
+        if key in parent:
+            raise ProfileError(f"duplicate child key {key}")
+        parent[key] = node
+        i = k + n_fields + 1
+        if n_children:
+            stack.append((parent, remaining))
+            parent = children
+            remaining = n_children
+    (root,) = holder.values()
+    return root, i
 
 
 # -- profiles -------------------------------------------------------------------
@@ -424,6 +480,10 @@ class ProfileDB:
             "repro_codec_decodes_total", 1,
             help_text="ProfileDB decode operations",
         )
+        obs.metrics.inc(
+            "repro_codec_decoded_bytes_total", len(data),
+            help_text="bytes consumed by the profile decoder",
+        )
         return db
 
     @classmethod
@@ -438,44 +498,60 @@ class ProfileDB:
         pos = _HEADER_LEN
         n_strings, pos = _checked_count(data, pos, "string-table entry")
         strings: list[str] = []
+        size = len(data)
         for _ in range(n_strings):
-            length, pos = _read_uvarint(data, pos)
-            end = pos + length
-            if end > len(data):
+            if pos < size and data[pos] < 0x80:  # one-byte length: the common case
+                end = pos + 1 + data[pos]
+                pos += 1
+            else:
+                length, pos = _read_uvarint(data, pos)
+                end = pos + length
+            if end > size:
                 raise ProfileError("truncated string-table entry")
             try:
                 strings.append(data[pos:end].decode("utf-8"))
             except UnicodeDecodeError as exc:
                 raise ProfileError(f"string-table entry is not valid UTF-8: {exc}") from exc
             pos = end
-        name_idx, pos = _read_uvarint(data, pos)
-        db = cls(_string_at(strings, name_idx))
+        values, multibyte_tags = _varint_stream(data[pos:])
+        try:
+            return cls._from_values(values, version, strings, multibyte_tags)
+        except IndexError:
+            raise ProfileError("truncated profile body") from None
+
+    @classmethod
+    def _from_values(
+        cls, values: list[int], version: int, strings: list[str], multibyte_tags: set[int]
+    ) -> "ProfileDB":
+        db = cls(_string_at(strings, values[0]))
+        i = 1
         if version >= 2:
-            n_meta, pos = _checked_count(data, pos, "meta entry")
+            n_meta = values[i]
+            i += 1
             for _ in range(n_meta):
-                k, pos = _read_uvarint(data, pos)
-                v, pos = _read_uvarint(data, pos)
-                db.meta[_string_at(strings, k)] = _string_at(strings, v)
-        n_threads, pos = _checked_count(data, pos, "thread")
+                db.meta[_string_at(strings, values[i])] = _string_at(strings, values[i + 1])
+                i += 2
+        memo: dict[tuple[int, ...], tuple[tuple, dict | None]] = {}
+        n_threads = values[i]
+        i += 1
         for _ in range(n_threads):
-            tname_idx, pos = _read_uvarint(data, pos)
-            profile = ThreadProfile(_string_at(strings, tname_idx))
-            n_classes, pos = _checked_count(data, pos, "storage class")
+            profile = ThreadProfile(_string_at(strings, values[i]))
+            n_classes = values[i + 1]
+            i += 2
             for _ in range(n_classes):
-                cls_idx, pos = _read_uvarint(data, pos)
                 try:
-                    storage = StorageClass(_string_at(strings, cls_idx))
+                    storage = StorageClass(_string_at(strings, values[i]))
                 except ValueError as exc:
                     raise ProfileError(f"unknown storage class: {exc}") from exc
                 if storage in profile._ccts:
                     raise ProfileError(f"duplicate storage class {storage.value}")
-                root, pos = _decode_node(data, pos, strings)
+                root, i = _decode_tree(values, i + 1, strings, multibyte_tags, memo)
                 tree = CCT(storage.value)
                 tree.root = root
                 profile._ccts[storage] = tree
             db.add_thread(profile)
-        if pos != len(data):
-            raise ProfileError(f"{len(data) - pos} trailing bytes after profile body")
+        if i != len(values):
+            raise ProfileError(f"{len(values) - i} trailing values after profile body")
         return db
 
     def size_bytes(self) -> int:

@@ -45,7 +45,8 @@ __all__ = ["CompactionResult", "LeafRef", "ProfileStore", "StoreStats"]
 
 # Namespaces become directory names; keep them boring and path-safe.
 _APP_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
-_LEAF_RE = re.compile(r"^(\d{8})\.rpdb$")
+# Leaves are named ``{seq:08d}``: eight digits, nine or more from seq 10**8 on.
+_LEAF_RE = re.compile(r"^(\d{8,})\.rpdb$")
 
 MANIFEST_NAME = "MANIFEST.json"
 ROLLUP_NAME = "rollup.rpdb"

@@ -584,6 +584,7 @@ class TestWallDomain:
         assert session.metrics.value("repro_codec_encodes_total") == 1
         assert session.metrics.value("repro_codec_decodes_total") == 1
         assert session.metrics.value("repro_codec_encoded_bytes_total") == len(data)
+        assert session.metrics.value("repro_codec_decoded_bytes_total") == len(data)
 
 
 # ---------------------------------------------------------------- metrics layers
