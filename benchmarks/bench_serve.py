@@ -5,7 +5,7 @@ Drives the ``repro.serve`` stack end-to-end over real loopback TCP:
 1. **Ingest** — concurrent clients ship codec-v2 ``.rpdb`` blobs until
    the store holds ``--profiles`` leaves (10k+ at full scale), in
    batches so the artifact records a rate *trajectory*, not one number.
-2. **Compact** — one incremental reduction-tree compaction folds every
+2. **Compact** — one incremental streaming compaction folds every
    leaf into the per-app rollup; the rollup is then verified
    byte-identical to a sequential ``merge_profiles`` of the same leaves
    (always asserted, even in ``--smoke``).
@@ -179,9 +179,9 @@ def _verify(store: ProfileStore) -> int:
     identical, covered = store.verify_rollup(APP)
     assert identical, "rollup diverged from sequential merge_profiles"
     # Belt and braces: decode-compare too, not just the file bytes.
-    leaves = [
+    leaves = (
         ProfileDB.from_bytes(ref.path.read_bytes()) for ref in store.leaves(APP)
-    ]
+    )
     expected = merge_profiles(leaves, name=APP).canonical_bytes()
     assert store.rollup_bytes(APP) == expected
     return covered
@@ -190,7 +190,7 @@ def _verify(store: ProfileStore) -> int:
 def run_bench(n_profiles: int, check: bool) -> dict:
     blobs = _base_blobs()
     with tempfile.TemporaryDirectory(prefix="bench-serve-") as root:
-        store = ProfileStore(Path(root) / "store", shards=8, arity=16)
+        store = ProfileStore(Path(root) / "store", shards=8)
         service = ProfileService(store, queue_size=128)
 
         async def _run() -> dict:
@@ -220,7 +220,6 @@ def run_bench(n_profiles: int, check: bool) -> dict:
                 "compact": {
                     "seconds": round(compact_s, 2),
                     "leaves_folded": compacted["leaves_folded"],
-                    "tree_rounds": compacted["rounds"],
                     "rollup_bytes": compacted["rollup_bytes"],
                 },
                 "query": queries,
@@ -250,7 +249,6 @@ def _render(result: dict) -> str:
         ("ingest rate", f"{ingest['blobs_per_sec']:.0f} blobs/s "
                         f"({ingest['clients']} clients)"),
         ("compaction", f"{compact['leaves_folded']} leaves in "
-                       f"{compact['tree_rounds']} tree rounds, "
                        f"{compact['seconds']}s"),
         ("rollup", f"{compact['rollup_bytes']} bytes, byte-identical "
                    f"to sequential merge"),

@@ -6,6 +6,9 @@ variables when their symbol names match, and access paths merge
 recursively underneath — all of which falls out of the CCTs' structural
 node keys.
 
+``merge_profiles`` is a streaming fold: it draws one input at a time
+from any iterable, so a caller that decodes lazily (the serve store's
+compaction) keeps about one input alive however many it folds.
 ``reduction_tree_merge`` mirrors HPCToolkit's MPI reduction-tree
 parallelization: profiles are merged pairwise in ``ceil(log2 n)`` rounds;
 the returned :class:`MergeStats` reports both total work (node visits,
@@ -76,6 +79,15 @@ def _collapse_db(db: ProfileDB, stats: MergeStats | None = None) -> ThreadProfil
     return merged
 
 
+def _agreed_meta(agreed: dict[str, str], meta: dict[str, str]) -> dict[str, str]:
+    """The entries of ``agreed`` that ``meta`` carries with the same value.
+
+    The single definition of consensus, shared by :func:`consensus_meta`
+    and the incremental fold in :func:`merge_profiles`.
+    """
+    return {k: v for k, v in agreed.items() if meta.get(k) == v}
+
+
 def consensus_meta(dbs: Sequence[ProfileDB]) -> dict[str, str]:
     """Metadata every input agrees on (same key, same value in all DBs).
 
@@ -89,28 +101,30 @@ def consensus_meta(dbs: Sequence[ProfileDB]) -> dict[str, str]:
         return {}
     out = dict(dbs[0].meta)
     for db in dbs[1:]:
-        meta = db.meta
-        out = {k: v for k, v in out.items() if meta.get(k) == v}
         if not out:
             break
+        out = _agreed_meta(out, db.meta)
     return out
 
 
-def merge_profiles(dbs: Sequence[ProfileDB], name: str = "job") -> ProfileDB:
-    """Sequentially merge many process DBs into one job-level DB.
+def merge_profiles(dbs: Iterable[ProfileDB], name: str = "job") -> ProfileDB:
+    """Sequentially fold many process DBs into one job-level DB.
 
-    Inputs are never mutated (bit-identical before and after).
+    ``dbs`` may be any iterable and is consumed once: each input is merged,
+    and its metadata intersected into the consensus, before the next one
+    is drawn.  Inputs are never mutated (bit-identical before and after).
     """
-    if not dbs:
-        raise ProfileError("nothing to merge")
-    stats = MergeStats(profiles_in=sum(len(db.threads) for db in dbs))
     merged = ThreadProfile(f"{name}.merged")
+    meta: dict[str, str] | None = None
     for db in dbs:
         for profile in db.all_profiles():
-            merge_thread_profiles(merged, profile, stats)
+            merge_thread_profiles(merged, profile)
+        meta = dict(db.meta) if meta is None else _agreed_meta(meta, db.meta)
+    if meta is None:
+        raise ProfileError("nothing to merge")
     out = ProfileDB(name)
     out.add_thread(merged)
-    out.meta.update(consensus_meta(dbs))
+    out.meta.update(meta)
     return out
 
 

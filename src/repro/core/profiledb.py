@@ -15,7 +15,10 @@ instead of leaking ``IndexError``/``UnicodeDecodeError`` from the guts
 of the parser.  Decoding is one pass: after the string table, the body
 becomes one list of varint values (single-byte runs copied in C, only
 multi-byte varints decoded in Python), then one iterative walk builds
-the CCTs, memoizing node keys and info dicts on their value spans.
+the CCTs, memoizing node keys and info dicts on their value spans.  The
+cyclic garbage collector is paused while the walk builds the trees (they
+hold no reference cycles) and restored to the caller's state afterwards;
+this module is the one place in ``repro`` that changes collector state.
 
 Format version 2 adds a small string-keyed metadata section to the
 header (used by the parallel merge to report partial results); version 1
@@ -24,6 +27,7 @@ payloads (no metadata) still decode.
 
 from __future__ import annotations
 
+import gc
 import re
 import struct
 import sys
@@ -514,10 +518,21 @@ class ProfileDB:
                 raise ProfileError(f"string-table entry is not valid UTF-8: {exc}") from exc
             pos = end
         values, multibyte_tags = _varint_stream(data[pos:])
+        # The tree build allocates several tracked containers per node and
+        # frees none, so the cyclic collector would rescan and promote each
+        # half-built tree, later forcing full collections over the whole
+        # heap.  It cannot reclaim anything here: decoded trees are acyclic
+        # (children dicts point only down; keys and info hold only str and
+        # int).  So pause it for the build and restore the caller's state.
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             return cls._from_values(values, version, strings, multibyte_tags)
         except IndexError:
             raise ProfileError("truncated profile body") from None
+        finally:
+            if gc_was_enabled:
+                gc.enable()
 
     @classmethod
     def _from_values(

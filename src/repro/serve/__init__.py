@@ -3,8 +3,8 @@
 The always-on grown-up of the one-shot ``hpcview run`` pipeline: an
 asyncio ingest front end accepting codec-v2 ``.rpdb`` blobs from
 concurrent clients (:mod:`repro.serve.service`), a sharded on-disk
-store whose per-app rollups are maintained by incremental
-reduction-tree compaction (:mod:`repro.serve.store` — byte-identical
+store whose per-app rollups are maintained by incremental streaming
+compaction (:mod:`repro.serve.store` — byte-identical
 to a sequential :func:`repro.core.merge.merge_profiles` of the same
 leaves), and a query layer serving the analysis views with
 generation-keyed memoization (:mod:`repro.serve.query`).

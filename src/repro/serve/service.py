@@ -267,7 +267,6 @@ class ProfileService:
             "generation": result.generation,
             "leaves_folded": result.leaves_folded,
             "leaves_total": result.leaves_total,
-            "rounds": result.rounds,
             "rollup_bytes": result.rollup_bytes,
             "text": result.summary(),
         }

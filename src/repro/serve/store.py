@@ -3,7 +3,7 @@
 The continuous-profiling grown-up of the driver's flat ``measurements/``
 directory: one namespace per application, leaf blobs spread across
 shard directories, and a per-app **rollup** maintained by incremental
-hierarchical compaction::
+compaction::
 
     store/
       <app>/
@@ -12,15 +12,16 @@ hierarchical compaction::
         shard-00/000001.rpdb   # leaf blobs, sharded by sequence number
         shard-01/000002.rpdb
 
-Compaction reuses the reduction-tree merge (:func:`repro.core.merge.
-reduction_tree_merge`) as its engine: each round folds the existing
-rollup plus every leaf past the compaction watermark.  Because pairwise
-CCT merging is associative and commutative, consensus metadata is an
-intersection, and the rollup is stored in *canonical* byte form, an
-incrementally-maintained rollup is byte-identical to one sequential
-:func:`repro.core.merge.merge_profiles` over the same leaves — the
-invariant :meth:`ProfileStore.verify_rollup` checks and the serve tests
-pin across interleaved ingest schedules.
+Compaction is a streaming fold through :func:`repro.core.merge.
+merge_profiles`: each round draws the existing rollup, then every leaf
+past the compaction watermark, decoding each leaf just before it merges,
+so a round holds the rollup plus about one decoded leaf however many
+leaves are pending.  Because pairwise CCT merging is associative and
+commutative, consensus metadata is an intersection, and the rollup is
+stored in *canonical* byte form, an incrementally-maintained rollup is
+byte-identical to one sequential :func:`repro.core.merge.merge_profiles`
+over the same leaves — the invariant :meth:`ProfileStore.verify_rollup`
+checks and the serve tests pin across interleaved ingest schedules.
 
 All file writes are atomic (``.tmp`` sibling + ``os.replace``), matching
 the ``.rpdb`` convention everywhere else in the repo, so a crash mid-
@@ -36,8 +37,10 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator
 
-from repro.core.merge import MergeStats, merge_profiles, reduction_tree_merge
+# reduction_tree_merge is unused here; perfbench/tracer.py wraps it by name.
+from repro.core.merge import merge_profiles, reduction_tree_merge  # noqa: F401
 from repro.core.profiledb import ProfileDB
 from repro.errors import ProfileError, ServeError
 
@@ -79,10 +82,7 @@ class CompactionResult:
     generation: int
     leaves_folded: int = 0       # new leaves folded this round
     leaves_total: int = 0        # leaves covered by the rollup now
-    rounds: int = 0              # reduction-tree rounds this compaction ran
-    node_visits: int = 0
     rollup_bytes: int = 0
-    merge_stats: MergeStats | None = None
 
     @property
     def changed(self) -> bool:
@@ -92,8 +92,8 @@ class CompactionResult:
         if not self.changed:
             return f"{self.app}: nothing to compact (gen {self.generation})"
         return (
-            f"{self.app}: folded {self.leaves_folded} leaf blob(s) in "
-            f"{self.rounds} round(s) -> gen {self.generation} rollup "
+            f"{self.app}: folded {self.leaves_folded} leaf blob(s) "
+            f"-> gen {self.generation} rollup "
             f"({self.leaves_total} leaves, {self.rollup_bytes} bytes)"
         )
 
@@ -120,14 +120,11 @@ class ProfileStore:
     since every visible file is complete by construction.
     """
 
-    def __init__(self, root: str | Path, shards: int = 4, arity: int = 8) -> None:
+    def __init__(self, root: str | Path, shards: int = 4) -> None:
         if shards < 1:
             raise ServeError("store needs at least one shard")
-        if arity < 2:
-            raise ServeError("compaction arity must be >= 2")
         self.root = Path(root)
         self.shards = shards
-        self.arity = arity
         self.root.mkdir(parents=True, exist_ok=True)
         # app -> next leaf sequence number, recovered from filenames.
         self._next_seq: dict[str, int] = {}
@@ -200,10 +197,6 @@ class ProfileStore:
         refs.sort(key=lambda ref: ref.seq)
         return refs
 
-    def uncompacted(self, app: str) -> list[LeafRef]:
-        upto = self._manifest(app)["compacted_upto"]
-        return [ref for ref in self.leaves(app) if ref.seq > upto]
-
     def ingest(self, app: str, blob: bytes, validated: bool = False) -> int:
         """Store one leaf blob; returns its sequence number.
 
@@ -237,39 +230,25 @@ class ProfileStore:
     def compact(self, app: str) -> CompactionResult:
         """Fold every uncompacted leaf into the app's rollup.
 
-        The reduction-tree engine merges ``[current rollup] + new
-        leaves``; merge associativity plus canonical serialization keeps
-        the result byte-identical to a from-scratch sequential merge of
-        all covered leaves, whatever the ingest/compaction interleaving.
-        A round with no new leaves is a no-op (generation unchanged).
+        :func:`merge_profiles` folds ``[current rollup] + new leaves``
+        one input at a time, each leaf decoded just before it merges;
+        merge associativity plus canonical serialization keeps the result
+        byte-identical to a from-scratch sequential merge of all covered
+        leaves, whatever the ingest/compaction interleaving.  A leaf that
+        fails to decode raises :class:`ServeError` before anything is
+        written.  A round with no new leaves is a no-op (generation
+        unchanged).
         """
         manifest = self._manifest(app)
-        fresh = self.uncompacted(app)
+        leaves = self.leaves(app)
+        fresh = [ref for ref in leaves if ref.seq > manifest["compacted_upto"]]
         result = CompactionResult(
-            app=app,
-            generation=manifest["generation"],
-            leaves_total=len(self.leaves(app)),
+            app=app, generation=manifest["generation"], leaves_total=len(leaves)
         )
         if not fresh:
             return result
 
-        inputs: list[ProfileDB] = []
-        rollup = self.rollup(app)
-        if rollup is not None:
-            inputs.append(rollup)
-        for ref in fresh:
-            try:
-                inputs.append(ProfileDB.from_bytes(ref.path.read_bytes()))
-            except (OSError, ProfileError) as exc:
-                # Leaves were validated at ingest; a blob going bad on
-                # disk afterwards is a store-integrity failure, not a
-                # degradation to paper over silently.
-                raise ServeError(
-                    f"stored leaf {ref.path} is unreadable: {exc}"
-                ) from exc
-
-        merged, stats = reduction_tree_merge(inputs, name=app, arity=self.arity)
-        data = merged.canonical_bytes()
+        data = merge_profiles(self._fold_inputs(app, fresh), name=app).canonical_bytes()
         _atomic_write(self.rollup_path(app), data)
 
         manifest["generation"] += 1
@@ -278,25 +257,40 @@ class ProfileStore:
 
         result.generation = manifest["generation"]
         result.leaves_folded = len(fresh)
-        result.rounds = stats.rounds
-        result.node_visits = stats.node_visits
         result.rollup_bytes = len(data)
-        result.merge_stats = stats
         return result
+
+    def _fold_inputs(self, app: str, fresh: list[LeafRef]) -> Iterator[ProfileDB]:
+        """The current rollup (if any), then each fresh leaf, decoded lazily."""
+        rollup = self.rollup_bytes(app)
+        if rollup is not None:
+            yield ProfileDB.from_bytes(rollup)
+        for ref in fresh:
+            try:
+                db = ProfileDB.from_bytes(ref.path.read_bytes())
+            except (OSError, ProfileError) as exc:
+                # Leaves were validated at ingest; a blob going bad on
+                # disk afterwards is a store-integrity failure, not a
+                # degradation to paper over silently.
+                raise ServeError(
+                    f"stored leaf {ref.path} is unreadable: {exc}"
+                ) from exc
+            yield db
 
     def verify_rollup(self, app: str) -> tuple[bool, int]:
         """Check the incremental rollup against a sequential re-merge.
 
         Returns ``(byte_identical, n_leaves_covered)``.  The reference is
         :func:`merge_profiles` over every compacted leaf in ingest order
-        — the exact one-shot pipeline the service replaces.
+        — the exact one-shot pipeline the service replaces — decoded one
+        leaf at a time.
         """
         actual = self.rollup_bytes(app)
         if actual is None:
             raise ServeError(f"{app!r} has no rollup to verify (compact first)")
         upto = self._manifest(app)["compacted_upto"]
         covered = [ref for ref in self.leaves(app) if ref.seq <= upto]
-        dbs = [ProfileDB.from_bytes(ref.path.read_bytes()) for ref in covered]
+        dbs = (ProfileDB.from_bytes(ref.path.read_bytes()) for ref in covered)
         expected = merge_profiles(dbs, name=app).canonical_bytes()
         return expected == actual, len(covered)
 

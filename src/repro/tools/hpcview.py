@@ -621,7 +621,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ProfileService, ProfileStore
 
-    store = ProfileStore(args.store, shards=args.shards, arity=args.arity)
+    store = ProfileStore(args.store, shards=args.shards)
     service = ProfileService(
         store, queue_size=args.queue_size, compact_every=args.compact_every
     )
@@ -981,8 +981,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default 0: only on explicit compact requests)")
     serve.add_argument("--shards", type=int, default=4,
                        help="leaf shards per app (default 4)")
-    serve.add_argument("--arity", type=int, default=8,
-                       help="compaction reduction-tree fan-in (default 8)")
     serve.add_argument("--smoke", action="store_true",
                        help="self-test: concurrent two-app ingest, compact, "
                             "query, then verify rollups byte-identical to a "

@@ -3,9 +3,9 @@
 Pins the guarantees the parallel subsystem builds on: merging never
 mutates its inputs (the reduction tree deep-copies at the leaves), the
 merge result is independent of grouping (canonical bytes identical for
-sequential / arity-2 / arity-4 schedules), and building analysis views
-never changes the profile being viewed (the ``cct()`` write-path
-accessor must not run on read paths).
+sequential / streamed-generator / arity-2 / arity-4 schedules), and
+building analysis views never changes the profile being viewed (the
+``cct()`` write-path accessor must not run on read paths).
 """
 
 from __future__ import annotations
@@ -94,10 +94,24 @@ class TestAssociativity:
     def test_sequential_and_tree_schedules_agree_bytewise(self):
         for n in (1, 2, 3, 8, 13):
             dbs = [_make_db(i) for i in range(n)]
+            before = [db.to_bytes() for db in dbs]
+            drawn = []
+
+            def stream():
+                for db in dbs:
+                    drawn.append(db)
+                    yield db
+
             seq = merge_profiles(dbs, "job").canonical_bytes()
+            streamed = merge_profiles(stream(), "job").canonical_bytes()
             tree2 = reduction_tree_merge(dbs, "job", arity=2)[0].canonical_bytes()
             tree4 = reduction_tree_merge(dbs, "job", arity=4)[0].canonical_bytes()
-            assert seq == tree2 == tree4, f"schedule mismatch at n={n}"
+            assert seq == streamed == tree2 == tree4, f"schedule mismatch at n={n}"
+            # A generator is consumed once, in order, and never mutated.
+            assert drawn == dbs
+            assert [db.to_bytes() for db in dbs] == before
+        with pytest.raises(ProfileError):
+            merge_profiles(iter(()), "job")
 
     def test_canonical_bytes_ignore_insertion_order(self):
         a, b = _make_db(0), _make_db(1)

@@ -274,6 +274,57 @@ class TestR009ModelLineAnchors:
         assert _rules(src) == []
 
 
+class TestR010GcPolicy:
+    """Only the decoder may change cyclic-GC state inside src/repro."""
+
+    def test_state_changing_calls_flagged_when_restricted(self):
+        for name in sorted(reprolint._GC_STATE_CALLS):
+            src = f"import gc\ngc.{name}()\n"
+            assert _rules(src, gc_restricted=True) == ["R010"], name
+            assert _rules(src, gc_restricted=False) == [], name
+
+    def test_from_import_and_alias_flagged(self):
+        src = "from gc import disable, isenabled\n"
+        assert _rules(src, gc_restricted=True) == ["R010"]
+        assert _rules("from gc import *\n", gc_restricted=True) == ["R010"]
+        src = "import gc as collector\ncollector.freeze()\n"
+        assert _rules(src, gc_restricted=True) == ["R010"]
+
+    def test_read_only_gc_use_ok(self):
+        src = (
+            "import gc\n"
+            "was = gc.isenabled()\n"
+            "n = gc.get_count()\n"
+            "gc.callbacks.append(hook)\n"
+            "x.collect()\n"
+        )
+        assert _rules(src, gc_restricted=True) == []
+
+    def test_scope_is_library_minus_decoder(self):
+        assert reprolint._gc_restricted(Path("src/repro/serve/store.py"))
+        assert reprolint._gc_restricted(Path("src/repro/tools/hpcview.py"))
+        assert not reprolint._gc_restricted(Path("src/repro/core/profiledb.py"))
+        assert not reprolint._gc_restricted(Path("tests/test_profiledb_gc.py"))
+        assert not reprolint._gc_restricted(Path("benchmarks/bench_serve.py"))
+
+    def test_lint_paths_applies_scope(self, tmp_path, capsys):
+        core = tmp_path / "src" / "repro" / "core"
+        core.mkdir(parents=True)
+        body = "import gc\ngc.disable()\n"
+        (core / "profiledb.py").write_text(body)
+        (core / "merge.py").write_text(body)
+        cwd = os.getcwd()
+        os.chdir(tmp_path)
+        try:
+            status = reprolint.main(["src"])
+        finally:
+            os.chdir(cwd)
+        out = capsys.readouterr().out
+        assert status == 1
+        assert "merge.py:2: R010" in out
+        assert "profiledb.py:2" not in out
+
+
 class TestUnlintableFiles:
     """Undecodable or unreadable inputs are findings, not crashes."""
 

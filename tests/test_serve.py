@@ -89,7 +89,7 @@ class TestStore:
         }
         outputs = {}
         for name, batches in schedules.items():
-            store = ProfileStore(tmp_path / name, shards=3, arity=2)
+            store = ProfileStore(tmp_path / name, shards=3)
             it = iter(blobs)
             for batch in batches:
                 for _ in range(batch):

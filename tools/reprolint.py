@@ -40,6 +40,11 @@ Rules:
         kernel, so the extraction drift gate
         (``repro.staticcheck.extract``) and the declarations can never
         disagree about where a site lives
+  R010  a call that changes cyclic-GC state (``gc.disable``/``enable``/
+        ``freeze``/``unfreeze``/``set_threshold``/``collect``, or a
+        ``from gc import`` of one of them) inside ``src/repro`` outside
+        ``src/repro/core/profiledb.py`` — collector policy is one audited
+        decision, the decoder's pause around its acyclic tree build
 
 Files that cannot be linted are findings, not crashes: a syntax error,
 a non-UTF-8 byte sequence, or an unreadable file reports as ``R000``
@@ -76,6 +81,12 @@ _MODEL_LINE_METHODS = {
     "alloc", "call", "touch", "access", "free", "parallel_region",
 }
 
+# R010: ``gc`` functions that change collector state (reads such as
+# ``gc.isenabled`` or ``gc.get_count`` stay legal everywhere).
+_GC_STATE_CALLS = {
+    "disable", "enable", "freeze", "unfreeze", "set_threshold", "collect",
+}
+
 
 def _is_mutable_default(node: ast.expr) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set)):
@@ -93,6 +104,7 @@ class _Visitor(ast.NodeVisitor):
         rng_exempt: bool,
         obs_restricted: bool = False,
         threshold_restricted: bool = False,
+        gc_restricted: bool = False,
     ) -> None:
         self.path = path
         self.in_library = in_library  # under src/repro but not src/repro/tools
@@ -101,6 +113,10 @@ class _Visitor(ast.NodeVisitor):
         self.obs_restricted = obs_restricted
         # analysis code whose thresholds must come from the formula registry
         self.threshold_restricted = threshold_restricted
+        # library code outside the decoder: no collector-state changes
+        self.gc_restricted = gc_restricted
+        # names bound to the ``gc`` module (``import gc as collector``)
+        self._gc_modules = {"gc"}
         # >0 while visiting the body of a ``static_model`` definition
         # (including nested helpers), where R009 applies.
         self._static_model_depth = 0
@@ -140,9 +156,11 @@ class _Visitor(ast.NodeVisitor):
         self._check_defaults(node)
         self.generic_visit(node)
 
-    # R003 / R005 ------------------------------------------------------------
+    # R003 / R005 / R010 ------------------------------------------------------
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
+            if alias.name == "gc":
+                self._gc_modules.add(alias.asname or "gc")
             root = alias.name.split(".")[0]
             if not self.rng_exempt and root == "random":
                 self._add(
@@ -171,7 +189,18 @@ class _Visitor(ast.NodeVisitor):
                     "import from `time` in repro.obs — only the clock facade "
                     "(repro/obs/clock.py) may read wall clocks",
                 )
+            if self.gc_restricted and node.module == "gc":
+                for alias in node.names:
+                    if alias.name in _GC_STATE_CALLS or alias.name == "*":
+                        self._add_gc(node.lineno, f"from gc import {alias.name}")
         self.generic_visit(node)
+
+    def _add_gc(self, line: int, what: str) -> None:
+        self._add(
+            line, "R010",
+            f"{what} changes cyclic-GC state — only the decoder "
+            "(repro/core/profiledb.py) may, around its acyclic tree build",
+        )
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
@@ -216,6 +245,15 @@ class _Visitor(ast.NodeVisitor):
                 "sys.exit() in library code — raise a repro.errors exception; "
                 "only CLIs in repro.tools choose exit codes",
             )
+        # R010
+        if (
+            self.gc_restricted
+            and isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in self._gc_modules
+            and func.attr in _GC_STATE_CALLS
+        ):
+            self._add_gc(node.lineno, f"{func.value.id}.{func.attr}()")
         # R009
         if (
             self._static_model_depth
@@ -306,6 +344,7 @@ def lint_source(
     rng_exempt: bool = False,
     obs_restricted: bool = False,
     threshold_restricted: bool = False,
+    gc_restricted: bool = False,
 ) -> list[tuple[int, str, str]]:
     """Lint one file's source text; returns (line, rule, message) findings."""
     try:
@@ -316,6 +355,7 @@ def lint_source(
         path, in_library=in_library, rng_exempt=rng_exempt,
         obs_restricted=obs_restricted,
         threshold_restricted=threshold_restricted,
+        gc_restricted=gc_restricted,
     )
     visitor.visit(tree)
     return sorted(visitor.findings)
@@ -338,6 +378,13 @@ def _classify(path: Path) -> tuple[bool, bool, bool, bool]:
         obs_restricted,
         threshold_restricted,
     )
+
+
+def _gc_restricted(path: Path) -> bool:
+    """R010 scope: all of ``src/repro`` except the decoder's module."""
+    parts = path.as_posix()
+    in_repro = "src/repro/" in parts or parts.startswith("src/repro/")
+    return in_repro and not parts.endswith("repro/core/profiledb.py")
 
 
 def lint_paths(targets: list[Path]) -> list[str]:
@@ -364,6 +411,7 @@ def lint_paths(targets: list[Path]) -> list[str]:
                 in_library=in_library, rng_exempt=rng_exempt,
                 obs_restricted=obs_restricted,
                 threshold_restricted=threshold_restricted,
+                gc_restricted=_gc_restricted(file),
             )
             for line, rule, message in findings:
                 reports.append(f"{file}:{line}: {rule} {message}")
