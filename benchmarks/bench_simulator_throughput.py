@@ -1,20 +1,17 @@
-"""Simulator throughput: scalar vs batched vs vectorized vs sampled.
+"""Simulator throughput: scalar vs batched vs sampled.
 
 Times the simulator's own hot loop (not the simulated workload!) in
-simulated-accesses-per-second across the three ``access_run`` engines
-plus opt-in run sampling, and cross-checks that every full-fidelity
-path leaves bit-identical machine state:
+simulated-accesses-per-second for the scalar and batched access paths
+plus opt-in run sampling, and cross-checks that both full-fidelity
+paths leave bit-identical machine state:
 
 - **scalar**: one ``MemoryHierarchy.access`` call per access (the
-  original oracle loop);
-- **batched**: ``access_run`` with ``engine="python"`` — the PR 1
-  per-page batched loop, the baseline the vectorized criterion is
-  measured against;
-- **vectorized**: ``access_run`` with ``engine="auto"`` — columnar
-  closed-form segments (``repro.machine.vector``), fed one merged
-  same-home run per sweep exactly as ``Ctx`` now issues them;
+  oracle loop);
+- **batched**: one ``MemoryHierarchy.access_run`` call per sweep — the
+  merged same-home run ``Ctx`` issues when every page of the sweep has
+  the same home node;
 - **sampled**: ``Ctx``-level run sampling (``repro.sim.sampling``) on
-  top of the vectorized engine — not bit-identical by design, so it is
+  top of the batched path — not bit-identical by design, so it is
   timed and reported (with its extrapolation scale) but parity-checked
   only for the always-simulated tallies.
 
@@ -28,14 +25,14 @@ Runs two ways:
 
   ``--smoke`` shrinks the workload and skips the speedup assertions (CI
   machines have unpredictable timers); the equivalence checks always run
-  and fail the bench on any engine divergence.  ``--stats-out`` dumps
-  the vectorized run's ``MachineStats`` as JSON for
+  and fail the bench on any scalar/batched divergence.  ``--stats-out``
+  dumps the batched run's ``MachineStats`` as JSON for
   ``hpcview info --machine-stats``.
 
 - under pytest-benchmark with the other reproduction benches
   (``pytest benchmarks/bench_simulator_throughput.py``), asserting the
-  acceptance criteria: >= 2x batched over scalar and >= 10x vectorized
-  over batched on the unit-stride sweep.
+  acceptance criterion: >= 2x batched over scalar on the unit-stride
+  sweep.
 """
 
 from __future__ import annotations
@@ -44,18 +41,16 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
-from repro.machine.presets import Machine, amd_magnycours
+from repro.machine.presets import amd_magnycours
 from repro.sim.process import SimProcess
 from repro.sim.runtime import Ctx
 from repro.util.fmt import format_table
 
 FULL_ACCESSES = 400_000
 SMOKE_ACCESSES = 30_000
-MIN_SPEEDUP = 2.0  # batched over scalar, unit-stride (PR 1 criterion)
-MIN_VECTOR_SPEEDUP = 10.0  # vectorized over batched, unit-stride
+MIN_SPEEDUP = 2.0  # batched over scalar, unit-stride
 MIN_SAMPLED_SPEEDUP = 2.0  # sampled over unsampled Ctx, rate 0.25
 
 # (name, stride in bytes, accesses scale): unit-stride is the headline
@@ -65,13 +60,6 @@ SCENARIOS = (
     ("line-stride (64B)", 64, 0.5),
     ("page-stride (4KiB)", 4096, 0.1),
 )
-
-
-def _machine(engine: str = "auto"):
-    base = amd_magnycours()
-    if engine == base.spec.sim_engine:
-        return base
-    return Machine(replace(base.spec, sim_engine=engine))
 
 
 def _state(h) -> tuple:
@@ -97,26 +85,10 @@ def _scalar_sweep(hier, base: int, stride: int, count: int) -> int:
     return total
 
 
-def _batched_sweep(hier, base: int, stride: int, count: int) -> int:
-    # Split at page boundaries exactly like the PR 1 Ctx did, so the
-    # timing is an honest proxy for the pre-vectorization fast path.
-    page_bits = hier.page_bits
-    total = 0
-    cur = base
-    remaining = count
-    while remaining > 0:
-        boundary = ((cur >> page_bits) + 1) << page_bits
-        n = min(remaining, (boundary - cur + stride - 1) // stride)
-        total += hier.access_run(0, cur, stride, n, 0, False)
-        cur += n * stride
-        remaining -= n
-    return total
-
-
 def _merged_sweep(hier, base: int, stride: int, count: int) -> int:
-    # One merged same-home run per sweep: what Ctx issues since the
-    # same-home page-chunk merging (all pages are first-touched by the
-    # sweeping thread, so the whole sweep shares one home node).
+    # One merged same-home run per sweep, as Ctx issues it: all pages
+    # are first-touched by the sweeping thread, so the whole sweep
+    # shares one home node.
     return hier.access_run(0, base, stride, count, 0, False)
 
 
@@ -127,72 +99,54 @@ def _time(fn, *args) -> tuple[float, int]:
 
 
 def run_throughput(n_accesses: int, check_speedup: bool):
-    """Compare the engines sweep-by-sweep; returns (rows, vector machine)."""
+    """Compare the two paths sweep-by-sweep; returns (rows, batched machine)."""
     rows = []
-    batched_speedups = {}
-    vector_speedups = {}
-    vector_machine = None
+    speedups = {}
+    batched_machine = None
     for name, stride, scale in SCENARIOS:
         count = max(1, int(n_accesses * scale))
         base = 1 << 30
 
-        m_scalar = _machine("python")
+        m_scalar = amd_magnycours()
         dt_s, lat_s = _time(_scalar_sweep, m_scalar.hierarchy, base, stride, count)
 
-        m_batched = _machine("python")
-        dt_b, lat_b = _time(_batched_sweep, m_batched.hierarchy, base, stride, count)
+        m_batched = amd_magnycours()
+        dt_b, lat_b = _time(_merged_sweep, m_batched.hierarchy, base, stride, count)
+        batched_machine = m_batched
 
-        m_vector = _machine("auto")
-        dt_v, lat_v = _time(_merged_sweep, m_vector.hierarchy, base, stride, count)
-        vector_machine = m_vector
-
-        state_s = _state(m_scalar.hierarchy)
-        if lat_s != lat_b or state_s != _state(m_batched.hierarchy):
+        if lat_s != lat_b or _state(m_scalar.hierarchy) != _state(m_batched.hierarchy):
             raise AssertionError(
                 f"{name}: batched path diverged from scalar "
                 f"(lat {lat_s} vs {lat_b})"
             )
-        if lat_s != lat_v or state_s != _state(m_vector.hierarchy):
-            raise AssertionError(
-                f"{name}: vectorized path diverged from scalar "
-                f"(lat {lat_s} vs {lat_v})"
-            )
 
         rate_s = count / dt_s
         rate_b = count / dt_b
-        rate_v = count / dt_v
-        batched_speedups[name] = rate_b / rate_s
-        vector_speedups[name] = rate_v / rate_b
+        speedups[name] = rate_b / rate_s
         rows.append(
             (
                 name,
                 f"{count}",
                 f"{rate_s / 1e6:.2f}M/s",
                 f"{rate_b / 1e6:.2f}M/s",
-                f"{rate_v / 1e6:.2f}M/s",
                 f"{rate_b / rate_s:.2f}x",
-                f"{rate_v / rate_b:.2f}x",
             )
         )
 
     if check_speedup:
         unit = "unit-stride (8B)"
-        assert batched_speedups[unit] >= MIN_SPEEDUP, (
-            f"unit-stride batched speedup {batched_speedups[unit]:.2f}x below "
+        assert speedups[unit] >= MIN_SPEEDUP, (
+            f"unit-stride batched speedup {speedups[unit]:.2f}x below "
             f"the {MIN_SPEEDUP}x acceptance bar"
         )
-        assert vector_speedups[unit] >= MIN_VECTOR_SPEEDUP, (
-            f"unit-stride vectorized speedup {vector_speedups[unit]:.2f}x over "
-            f"batched below the {MIN_VECTOR_SPEEDUP}x acceptance bar"
-        )
-    return rows, vector_machine
+    return rows, batched_machine
 
 
-def _build_ctx(engine: str = "auto"):
+def _build_ctx():
     from repro.sim.loader import LoadModule
     from repro.sim.source import SourceFile
 
-    proc = SimProcess(_machine(engine))
+    proc = SimProcess(amd_magnycours())
     exe = LoadModule("bench.exe", is_executable=True)
     src = SourceFile("bench.c", {10: "x = a[i];"})
     main = exe.add_function("main", src, 1, 60)
@@ -217,12 +171,12 @@ def run_sampled(n_accesses: int, check_speedup: bool, rate: float = 0.25):
     run_len = 1 << 10
     n_runs = max(1, n_accesses // run_len)
 
-    proc_full, ctx_full = _build_ctx("auto")
+    proc_full, ctx_full = _build_ctx()
     arr_full = ctx_full.alloc_array("A", (n_runs * 32 + run_len,), line=20)
     dt_full, _ = _time(_ctx_run_storm, ctx_full, arr_full, n_runs, run_len)
 
     with sampling(rate=rate, min_run=64, seed=7):
-        proc_samp, ctx_samp = _build_ctx("auto")
+        proc_samp, ctx_samp = _build_ctx()
     arr_samp = ctx_samp.alloc_array("A", (n_runs * 32 + run_len,), line=20)
     dt_samp, _ = _time(_ctx_run_storm, ctx_samp, arr_samp, n_runs, run_len)
 
@@ -249,24 +203,23 @@ def run_sampled(n_accesses: int, check_speedup: bool, rate: float = 0.25):
 
 
 def run_ctx_equivalence(n: int = 20_000) -> None:
-    """End-to-end sanity: Ctx.load_run == Ctx.load_ip loop on every engine."""
-    pa, ca = _build_ctx("python")
+    """End-to-end sanity: Ctx.load_run == Ctx.load_ip loop."""
+    pa, ca = _build_ctx()
     a = ca.alloc_array("A", (n,), line=20)
     ip_a = ca.ip(10)
     for i in range(n):
         ca.load_ip(a.flat_addr(i), ip_a)
 
-    for engine in ("python", "auto", "vector"):
-        pb, cb = _build_ctx(engine)
-        b = cb.alloc_array("A", (n,), line=20)
-        cb.load_run(*b.flat_run(), cb.ip(10))
-        assert pa.master.clock == pb.master.clock, engine
-        assert _state(pa.machine.hierarchy) == _state(pb.machine.hierarchy), engine
+    pb, cb = _build_ctx()
+    b = cb.alloc_array("A", (n,), line=20)
+    cb.load_run(*b.flat_run(), cb.ip(10))
+    assert pa.master.clock == pb.master.clock
+    assert _state(pa.machine.hierarchy) == _state(pb.machine.hierarchy)
 
 
 def _render(rows) -> str:
     return format_table(
-        ("sweep", "accesses", "scalar", "batched", "vector", "bat/scl", "vec/bat"),
+        ("sweep", "accesses", "scalar", "batched", "bat/scl"),
         rows,
         title="simulator throughput (simulated accesses per wall-clock second)",
     )
@@ -276,7 +229,7 @@ def _render_sampled(row) -> str:
     return format_table(
         ("workload", "accesses", "full", "sampled", "scale", "speedup"),
         [row],
-        title="sampled simulation (Ctx run storm, vectorized engine)",
+        title="sampled simulation (Ctx run storm, batched path)",
     )
 
 
@@ -292,7 +245,7 @@ def test_simulator_throughput(benchmark):
     )
     sampled_row = run_sampled(FULL_ACCESSES, check_speedup=True)
     report(
-        "simulator throughput: engine fast paths",
+        "simulator throughput: batched fast path",
         _render(rows) + "\n" + _render_sampled(sampled_row),
     )
 
@@ -310,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--stats-out",
         metavar="FILE.json",
-        help="write the vectorized run's MachineStats snapshot as JSON",
+        help="write the batched run's MachineStats snapshot as JSON",
     )
     args = parser.parse_args(argv)
 
@@ -320,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     print(_render(rows))
     sampled_row = run_sampled(n, check_speedup=not args.smoke)
     print(_render_sampled(sampled_row))
-    print("scalar/batched/vectorized equivalence: OK")
+    print("scalar/batched equivalence: OK")
 
     if args.stats_out:
         path = Path(args.stats_out)

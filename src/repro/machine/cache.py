@@ -8,8 +8,6 @@ free.  This is the innermost loop of the whole simulator; keep it lean.
 
 from __future__ import annotations
 
-from math import gcd as _gcd
-
 from repro.errors import ConfigError
 
 __all__ = ["SetAssocCache"]
@@ -88,112 +86,6 @@ class SetAssocCache:
     def contains(self, line: int) -> bool:
         """Non-promoting lookup (for tests and prefetch filtering)."""
         return line in self._sets[line & self._set_mask]
-
-    # -- bulk (vectorized-engine) primitives ------------------------------
-    #
-    # The vector engine (repro.machine.vector) processes a whole arithmetic
-    # progression of lines in one step.  It needs three operations beyond
-    # the scalar path: a residency scan over the progression, a bulk
-    # counter credit, and per-set state rebuilds equivalent to the scalar
-    # install/promote sequence.  Each is written to be *observably
-    # identical* to the equivalent scalar loop — the differential suite in
-    # tests/test_machine_bulk_access.py and tests/test_machine_vector.py
-    # holds them to that.
-
-    def bulk_credit(self, hits: int = 0, misses: int = 0) -> None:
-        """Credit counters for lookups whose outcome was proven in bulk."""
-        self.hits += hits
-        self.misses += misses
-
-    def progression_members(self, start: int, delta: int, n: int) -> list[int]:
-        """Sorted indices ``k`` in ``[0, n)`` whose line ``start + k*delta``
-        is currently resident.
-
-        ``delta`` must be non-zero.  Two strategies with the same result:
-        probe-driven (short progressions) and tag-store iteration (long
-        progressions, cost bounded by resident entries, not ``n``).
-        """
-        if n <= 0:
-            return []
-        out: list[int] = []
-        if n * (self.assoc + 1) < self.n_sets * self.assoc:
-            line = start
-            sets = self._sets
-            mask = self._set_mask
-            for k in range(n):
-                if line in sets[line & mask]:
-                    out.append(k)
-                line += delta
-            return out
-        last = (n - 1) * delta
-        for ways in self._sets:
-            for line in ways:
-                d = line - start
-                if delta > 0:
-                    if 0 <= d <= last and d % delta == 0:
-                        out.append(d // delta)
-                elif 0 >= d >= last and d % delta == 0:
-                    out.append(d // delta)
-        out.sort()
-        return out
-
-    def bulk_install_progression(self, start: int, delta: int, n: int) -> None:
-        """Install lines ``start + k*delta`` for ``k`` in ``[0, n)``, in order.
-
-        Equivalent to ``n`` scalar :meth:`install` calls when *none* of the
-        lines are initially resident (the vector engine's cold regime):
-        each set ends up holding the newest ``assoc`` installs that mapped
-        to it, MRU-first, ahead of whatever survives of its old contents.
-        Evictions inside the progression never affect later installs (the
-        lines are distinct), so the final state is rebuilt per set with
-        modular arithmetic instead of per line.
-        """
-        if n <= 0:
-            return
-        nsets = self.n_sets
-        assoc = self.assoc
-        mask = self._set_mask
-        sets = self._sets
-        # Lines k and k' map to the same set iff (k - k') * delta ≡ 0
-        # (mod n_sets); the residue classes mod `step` partition the
-        # progression among the touched sets.
-        d = delta % nsets
-        g = _gcd(d, nsets) if d else nsets
-        step = nsets // g
-        for r in range(min(step, n)):
-            s = (start + r * delta) & mask
-            c = (n - 1 - r) // step + 1  # installs that landed in this set
-            take = c if c < assoc else assoc
-            ways = [start + (r + (c - 1 - j) * step) * delta for j in range(take)]
-            if take < assoc:
-                # Evictions pop from the LRU tail, so the old residents
-                # that survive are exactly the first assoc - take.
-                ways.extend(sets[s][: assoc - take])
-            sets[s] = ways
-
-    def bulk_promote_progression(self, start: int, delta: int, n: int) -> None:
-        """Promote resident lines ``start + k*delta``, ``k`` in ``[0, n)``,
-        to MRU in ascending-``k`` order (the vector engine's hot regime).
-
-        Every line must currently be resident; the rebuilt set holds the
-        promoted lines newest-first followed by its untouched residents in
-        their previous relative order — exactly what ``n`` scalar hits
-        would leave behind.
-        """
-        if n <= 0:
-            return
-        nsets = self.n_sets
-        mask = self._set_mask
-        sets = self._sets
-        d = delta % nsets
-        g = _gcd(d, nsets) if d else nsets
-        step = nsets // g
-        for r in range(min(step, n)):
-            s = (start + r * delta) & mask
-            c = (n - 1 - r) // step + 1
-            promoted = [start + (r + (c - 1 - j) * step) * delta for j in range(c)]
-            promoted.extend(w for w in sets[s] if w not in promoted)
-            sets[s] = promoted
 
     def invalidate_all(self) -> None:
         for ways in self._sets:

@@ -27,19 +27,9 @@ access in the *next* window::
   model fair across threads under a round-robin scheduler; a
   backlog-positional model would bill the whole queue to whichever
   threads run late in the round.
-- Windows with less than ``min_traffic`` total DRAM accesses are treated
-  as unloaded.  By default an unloaded window *discards* its traffic and
-  issuing-thread set entirely: ``min_traffic`` is a bandwidth (per-window
-  rate) threshold, and a stream that never reaches it never queues, no
-  matter how imbalanced its aggregate share across windows is.  That is
-  intended behaviour (pinned by
-  ``tests/test_machine_contention.py::TestUnloadedWindows``) — but it
-  does mean a steady stream alternating just below/above the threshold
-  resets its history on every sub-threshold window.  The opt-in
-  ``unloaded_carry`` knob instead decays the unloaded window's per-node
-  counts into the next window (retaining the issuing-thread set while
-  any carried traffic remains), so sustained near-threshold imbalance
-  accumulates and eventually crosses into the loaded path.
+- ``min_traffic`` is a per-window rate threshold: a window with fewer
+  DRAM accesses is unloaded and discards its traffic and issuing-thread
+  set (pinned by ``tests/test_machine_contention.py::TestUnloadedWindows``).
 """
 
 from __future__ import annotations
@@ -58,7 +48,6 @@ class ControllerContention:
         "n_nodes",
         "min_traffic",
         "max_penalty",
-        "unloaded_carry",
         "_counts",
         "_tids",
         "_penalty",
@@ -71,7 +60,6 @@ class ControllerContention:
         n_nodes: int,
         capacity_per_window: int = 64,
         max_penalty: int = 300,
-        unloaded_carry: float = 0.0,
     ) -> None:
         if n_nodes < 1:
             raise ConfigError("need at least one NUMA node")
@@ -79,12 +67,9 @@ class ControllerContention:
             raise ConfigError("controller capacity must be >= 1")
         if max_penalty < 0:
             raise ConfigError("max_penalty must be non-negative")
-        if not 0.0 <= unloaded_carry < 1.0:
-            raise ConfigError("unloaded_carry must be in [0, 1)")
         self.n_nodes = n_nodes
         self.min_traffic = capacity_per_window
         self.max_penalty = max_penalty
-        self.unloaded_carry = unloaded_carry
         self._counts = [0] * n_nodes
         self._tids: set[int] = set()
         self._penalty = [0] * n_nodes
@@ -104,20 +89,6 @@ class ControllerContention:
         if concurrency > 1.0:
             concurrency = 1.0
         if total < self.min_traffic or n < 2 or concurrency <= 0.0:
-            carry = self.unloaded_carry
-            if carry > 0.0 and total > 0:
-                # Decay this window's traffic into the next instead of
-                # dropping it: sustained sub-threshold imbalance builds a
-                # share over time.  The issuing threads stay associated
-                # with their carried traffic.
-                carried = 0
-                for i in range(n):
-                    penalty[i] = 0
-                    counts[i] = int(counts[i] * carry)
-                    carried += counts[i]
-                if not carried:
-                    self._tids.clear()
-                return
             for i in range(n):
                 penalty[i] = 0
                 counts[i] = 0
@@ -139,21 +110,6 @@ class ControllerContention:
         delay = self._penalty[node]
         if delay:
             self.total_queue_cycles += delay
-        return delay
-
-    def dram_access_bulk(self, node: int, hw_tid: int, n: int) -> int:
-        """Register ``n`` DRAM accesses by one thread within one window.
-
-        The penalty is flat within a window and windows only rotate from
-        the scheduler between runs, so ``n`` scalar :meth:`dram_access`
-        calls all observe the same delay — returned here once (per
-        access) with the counters advanced in bulk.  Vector-engine path.
-        """
-        self._counts[node] += n
-        self._tids.add(hw_tid)
-        delay = self._penalty[node]
-        if delay:
-            self.total_queue_cycles += delay * n
         return delay
 
     def window_load(self, node: int) -> int:

@@ -105,15 +105,9 @@ class MemoryHierarchy:
         tlb_assoc: int = 4,
         contention: ControllerContention | None = None,
         prefetch: bool = True,
-        engine: str = "auto",
     ) -> None:
         if page_bits <= line_bits:
             raise ConfigError("pages must be larger than cache lines")
-        if engine not in ("auto", "vector", "python"):
-            raise ConfigError(
-                f"unknown access_run engine {engine!r}; "
-                "choose auto, vector or python"
-            )
         self.topology = topology
         self.latency = latency
         self.line_bits = line_bits
@@ -149,23 +143,6 @@ class MemoryHierarchy:
         self.load_count = 0
         self.store_count = 0
         self.prefetch_hits = 0
-
-        # Batched-path engine selection.  "python" is the batched loop
-        # alone; "auto" vectorizes runs long enough to amortize the
-        # residency scan; "vector" vectorizes every eligible run (the
-        # differential tests use it to exercise short segments).  If
-        # numpy is unavailable the vector engine degrades to "python".
-        self.engine = engine
-        self._vector_run = None
-        self._vector_min = 0
-        if engine != "python":
-            try:
-                from repro.machine.vector import VECTOR_MIN_RUN, access_run_vector
-            except ImportError:  # pragma: no cover - numpy always present in CI
-                self.engine = "python"
-            else:
-                self._vector_run = access_run_vector
-                self._vector_min = 2 if engine == "vector" else VECTOR_MIN_RUN
 
     # -- hot path ---------------------------------------------------------
 
@@ -283,13 +260,6 @@ class MemoryHierarchy:
         order, letting callers replay the exact scalar event stream (PMU
         delivery).  Equivalence is enforced by the differential harness in
         ``tests/test_machine_bulk_access.py``.
-
-        Two engines implement the contract: the batched python loop
-        (:meth:`_access_run_python`) and the columnar vector engine
-        (:mod:`repro.machine.vector`), selected by the ``engine``
-        constructor knob.  Both are held to bit-identical results against
-        the scalar oracle; the vector engine hands anything it cannot
-        prove cold or hot back to the python loop.
         """
         if count <= 0:
             return 0
@@ -297,38 +267,6 @@ class MemoryHierarchy:
             # A one-access run can't amortize the hoisting prologue below
             # (page-stride callers hit this constantly): take the scalar
             # path, which is definitionally equivalent.
-            result = self.access(hw_tid, base_vaddr, home_node, is_store)
-            if record is not None:
-                record.append(result)
-            return result[0]
-        if self._vector_run is not None and stride != 0 and count >= self._vector_min:
-            return self._vector_run(
-                self, hw_tid, base_vaddr, stride, count, home_node, is_store, record
-            )
-        return self._access_run_python(
-            hw_tid, base_vaddr, stride, count, home_node, is_store, record
-        )
-
-    def _access_run_python(
-        self,
-        hw_tid: int,
-        base_vaddr: int,
-        stride: int,
-        count: int,
-        home_node: int,
-        is_store: bool = False,
-        record: list | None = None,
-    ) -> int:
-        """The batched python engine (and the vector engine's fallback).
-
-        This is the PR-1 fast path: one loop iteration per cache line
-        with hoisted lookups and arithmetically short-circuited repeat
-        hits.  It handles every input shape; the vector engine delegates
-        runs (or run remainders) it cannot prove cold or hot.
-        """
-        if count <= 0:
-            return 0
-        if count == 1:
             result = self.access(hw_tid, base_vaddr, home_node, is_store)
             if record is not None:
                 record.append(result)

@@ -53,9 +53,7 @@ class MachineSpec:
     tlb_assoc: int = 4
     contention_capacity: int = 64
     contention_max_penalty: int = 400
-    contention_unloaded_carry: float = 0.0
     prefetch: bool = True
-    sim_engine: str = "auto"  # access_run engine: auto | vector | python
     clock_hz: float = 2.0e9  # converts simulated cycles to reported seconds
     # Optional per-preset boundness-triage thresholds.  None means "use
     # the engine defaults" (0.25 / 0.4 / 0.2 — the paper's §5 gates);
@@ -110,7 +108,6 @@ class Machine:
             n_nodes=self.topology.n_numa_nodes,
             capacity_per_window=spec.contention_capacity,
             max_penalty=spec.contention_max_penalty,
-            unloaded_carry=spec.contention_unloaded_carry,
         )
         self.hierarchy = MemoryHierarchy(
             self.topology,
@@ -127,7 +124,6 @@ class Machine:
             tlb_assoc=spec.tlb_assoc,
             contention=contention,
             prefetch=spec.prefetch,
-            engine=spec.sim_engine,
         )
 
     @property
@@ -221,7 +217,6 @@ def tiny_spec(
     smt: int = 1,
     numa_per_socket: int = 1,
     prefetch: bool = True,
-    engine: str = "auto",
 ) -> MachineSpec:
     """Spec for the small unit-test machine."""
     return MachineSpec(
@@ -230,7 +225,6 @@ def tiny_spec(
         cores_per_socket=cores_per_socket,
         smt=smt,
         numa_per_socket=numa_per_socket,
-        sim_engine=engine,
         l1_sets=4,
         l1_assoc=2,
         l2_sets=8,
@@ -250,11 +244,10 @@ def tiny_machine(
     smt: int = 1,
     numa_per_socket: int = 1,
     prefetch: bool = True,
-    engine: str = "auto",
 ) -> Machine:
     """A small machine for unit tests: fast to build, easy to reason about."""
     return Machine(
-        tiny_spec(sockets, cores_per_socket, smt, numa_per_socket, prefetch, engine)
+        tiny_spec(sockets, cores_per_socket, smt, numa_per_socket, prefetch)
     )
 
 

@@ -32,24 +32,6 @@ class TLB:
         """Credit ``n`` hits to the already-resident, MRU page (bulk path)."""
         self._cache.note_repeat_hits(n)
 
-    # -- bulk (vectorized-engine) primitives ------------------------------
-
-    def bulk_credit(self, hits: int = 0, misses: int = 0) -> None:
-        """Credit translation counters proven in bulk (vector engine)."""
-        self._cache.bulk_credit(hits=hits, misses=misses)
-
-    def progression_members(self, start: int, delta: int, n: int) -> list[int]:
-        """Indices of resident pages along ``start + k*delta``, ``k < n``."""
-        return self._cache.progression_members(start, delta, n)
-
-    def bulk_install_progression(self, start: int, delta: int, n: int) -> None:
-        """Fill ``n`` initially-absent pages in order (cold vector sweep)."""
-        self._cache.bulk_install_progression(start, delta, n)
-
-    def bulk_promote_progression(self, start: int, delta: int, n: int) -> None:
-        """Promote ``n`` resident pages in order (hot vector sweep)."""
-        self._cache.bulk_promote_progression(start, delta, n)
-
     @property
     def hits(self) -> int:
         return self._cache.hits

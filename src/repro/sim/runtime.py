@@ -195,7 +195,7 @@ class Ctx:
             # Consecutive page chunks with the *same* home are merged back
             # into one access_run call (home_of does not depend on access
             # effects, so consulting it a chunk early is unobservable):
-            # long same-home runs are what the vector engine feeds on.
+            # merging only saves access_run calls, results are unchanged.
             cur = base
             remaining = count
             run_start = base

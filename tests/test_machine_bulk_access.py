@@ -11,6 +11,8 @@ and compare everything observable.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 from repro import Ctx, DataCentricProfiler, SimProcess, tiny_machine
 from repro.util.rng import DeterministicRNG
 from repro.machine.hierarchy import MemoryHierarchy
+from repro.machine.presets import Machine, amd_magnycours_spec, tiny_spec
 from repro.machine.policies import Interleave
 from repro.pmu.ebs import EBSEngine
 from repro.pmu.ibs import IBSEngine
@@ -66,22 +69,18 @@ def batched_replay(h: MemoryHierarchy, runs) -> list:
     return out
 
 
-def assert_equivalent(runs, prefetch: bool) -> None:
-    a = tiny_machine(prefetch=prefetch).hierarchy
+def assert_equivalent(runs, prefetch: bool, preset=tiny_spec) -> None:
+    spec = replace(preset(), prefetch=prefetch)
+    a = Machine(spec).hierarchy
     stream_a = scalar_replay(a, runs)
-    state_a = hierarchy_state(a)
+    b = Machine(spec).hierarchy
+    stream_b = batched_replay(b, runs)
+    assert stream_a == stream_b
+    assert hierarchy_state(a) == hierarchy_state(b)
+    # access_run's return value is the run-total latency.
+    c = Machine(spec).hierarchy
     total = sum(lat for lat, _, _ in stream_a)
-    # Both access_run engines must match the scalar oracle: the PR 1
-    # per-page loop ("python") and the columnar one ("vector", which
-    # forces vectorization even for short runs).
-    for engine in ("python", "vector"):
-        b = tiny_machine(prefetch=prefetch, engine=engine).hierarchy
-        stream_b = batched_replay(b, runs)
-        assert stream_a == stream_b, engine
-        assert state_a == hierarchy_state(b), engine
-        # access_run's return value is the run-total latency.
-        c = tiny_machine(prefetch=prefetch, engine=engine).hierarchy
-        assert sum(c.access_run(*run[:5], run[5]) for run in runs) == total, engine
+    assert sum(c.access_run(*run[:5], run[5]) for run in runs) == total
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +96,135 @@ run_strategy = st.tuples(
     st.booleans(),                                            # is_store
 )
 
+PAGE = 4096
+
+
+@st.composite
+def run_program(draw):
+    """Runs that re-sweep a few shared regions from page-straddling bases.
+
+    ``run_strategy`` draws independent random bases, so it rarely sweeps
+    a region that is still resident; re-sweeping one is what drives the
+    all-hit (hot) regime and LRU promotion order.
+    """
+    regions = draw(
+        st.lists(
+            st.integers(min_value=-PAGE, max_value=1 << 18),
+            min_size=1, max_size=3,
+        )
+    )
+    n_runs = draw(st.integers(min_value=1, max_value=6))
+    runs = []
+    for _ in range(n_runs):
+        region = draw(st.sampled_from(regions))
+        offset = draw(st.sampled_from([0, 1, 7, PAGE - 1, PAGE - 8, PAGE + 3]))
+        stride = draw(
+            st.sampled_from(
+                [1, 3, 4, 8, 16, 64, 100, 256, 640, PAGE, PAGE + 8,
+                 -1, -3, -8, -64, -100, -PAGE, -(PAGE + 8)]
+            )
+        )
+        count = draw(st.integers(min_value=1, max_value=400))
+        base = region + offset
+        if stride < 0:
+            base += count * -stride  # walk down through the region
+        runs.append(
+            (
+                draw(st.integers(min_value=0, max_value=3)),  # hw_tid
+                base,
+                stride,
+                count,
+                draw(st.integers(min_value=0, max_value=1)),  # home
+                draw(st.booleans()),                          # is_store
+            )
+        )
+    return runs
+
+
+# Adversarial run lists: cache/TLB/prefetcher states a random base
+# rarely reaches.  Each entry is (hw_tid, base, stride, count, home, is_store).
+REGIME_EDGES = {
+    # Re-sweeps of an L1-resident region (8 lines fit the tiny L1): all
+    # hits, LRU promotion order must match per-access promotes.
+    "hot_resweep": [
+        (0, 0x10000, 8, 64, 0, False),
+        (0, 0x10000, 8, 64, 0, False),
+        (0, 0x10000, 8, 64, 0, True),
+    ],
+    # A unit-line sweep seeds a stream at expected-next-miss; the second
+    # sweep's range contains that stream value mid-run.
+    "pf_chain": [
+        (0, 0x40000, 64, 10, 0, False),
+        (0, 0x40000 + 64 * 5, 64, 20, 0, False),
+    ],
+    # Page transitions walk downward: TLB install order and walk charges.
+    "desc_tlb": [(0, 6 * PAGE + 11, -8, 5 * PAGE // 8, 0, False)],
+    # stride % page == 0: every access is a page transition.
+    "page_mult": [
+        (0, 0x100000, PAGE, 120, 0, False),
+        (0, 0x100000 + 64, 2 * PAGE, 60, 0, True),
+        (0, 0x100000 + 120 * PAGE, -PAGE, 120, 0, False),
+    ],
+    # 12 lines: larger than the tiny L1 (8), L2-resident (16), so the
+    # re-sweep mixes L1 misses with L2 hits.
+    "l2_resweep": [
+        (0, 0x20000, 64, 12, 0, False),
+        (0, 0x20000, 64, 12, 0, False),
+    ],
+    # Sub-line strides repeat each line; one run straddles a page start,
+    # the other begins on page -1.
+    "subline_pm1": [
+        (0, PAGE - 9, 3, 500, 0, False),
+        (1, -7, 5, 300, 1, True),
+    ],
+    # A second core sweeps the region the first left in the shared L3.
+    "threads_l3": [
+        (0, 0x80000, 64, 100, 0, False),
+        (2, 0x80000, 64, 100, 0, False),
+        (0, 0x80000, 64, 100, 0, False),
+    ],
+}
+
 
 class TestHierarchyDifferential:
     @settings(max_examples=60, deadline=None)
     @given(runs=st.lists(run_strategy, min_size=1, max_size=8), prefetch=st.booleans())
     def test_random_runs_bit_identical(self, runs, prefetch):
         assert_equivalent(runs, prefetch)
+
+    @settings(max_examples=80, deadline=None)
+    @given(runs=run_program(), prefetch=st.booleans())
+    def test_region_reuse_stats_and_cycles_bit_identical(self, runs, prefetch):
+        # No record list: the run-total latencies and final state alone.
+        spec = replace(tiny_spec(), prefetch=prefetch)
+        a = Machine(spec).hierarchy
+        b = Machine(spec).hierarchy
+        total_a = sum(lat for lat, _, _ in scalar_replay(a, runs))
+        total_b = sum(b.access_run(*run[:5], run[5]) for run in runs)
+        assert total_a == total_b
+        assert a.stats() == b.stats()
+        assert hierarchy_state(a) == hierarchy_state(b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(runs=run_program())
+    def test_region_reuse_records_bit_identical(self, runs):
+        assert_equivalent(runs, True)
+
+    @pytest.mark.parametrize("prefetch", [True, False])
+    @pytest.mark.parametrize("case", sorted(REGIME_EDGES))
+    def test_regime_edges(self, case, prefetch):
+        assert_equivalent(REGIME_EDGES[case], prefetch)
+
+    @pytest.mark.parametrize("prefetch", [True, False])
+    def test_magnycours_preset_parity(self, prefetch):
+        # The bench machine (48 cores, 8 NUMA nodes), mid-size runs.
+        runs = [
+            (0, 1 << 30, 8, 3000, 0, False),
+            (1, (1 << 30) + 64, 64, 1500, 1, True),
+            (0, 1 << 30, 8, 3000, 0, False),
+            (3, (1 << 30) + 9 * PAGE, -8, 2000, 0, False),
+        ]
+        assert_equivalent(runs, prefetch, preset=amd_magnycours_spec)
 
     @pytest.mark.parametrize("prefetch", [True, False])
     @pytest.mark.parametrize("stride", [1, 8, 64, 72, 1024, 4096, 4100, -8, -4096])
@@ -197,7 +319,7 @@ class TestDegenerateStrides:
     its "no page yet" sentinel, so a run whose *first* access really
     lives on page -1 (base in [-page_size, -1]) skipped the initial TLB
     lookup and probed the wrong line-residency state.  Fixed by a None
-    sentinel (see ``MemoryHierarchy._access_run_python``); these tests
+    sentinel (see ``MemoryHierarchy.access_run``); these tests
     keep it fixed, alongside the other degenerate shapes the audit
     covered (stride 0, negative strides, backwards page re-crossing).
     """
@@ -280,8 +402,8 @@ class _SampleRecorder:
         )
 
 
-def _twin(pmu_factory=None, interleave=False, engine="auto"):
-    prog = MiniProgram(machine=tiny_machine(engine=engine))
+def _twin(pmu_factory=None, interleave=False):
+    prog = MiniProgram()
     if interleave:
         nodes = list(range(prog.machine.n_numa_nodes))
         prog.process.aspace.set_default_policy(Interleave(nodes))
@@ -298,17 +420,10 @@ def _thread_state(prog: MiniProgram) -> tuple:
     return (t.clock, t.inst_count, t.mem_count, t.pmu_countdown)
 
 
-def _compare_ctx(scalar_ops, bulk_ops, pmu_factory=None, interleave=False,
-                 engine="auto"):
-    """Run two op scripts on twin processes and compare everything.
-
-    The scalar script runs on the python engine (its accesses never take
-    ``access_run`` anyway); the bulk script runs on ``engine``, so a
-    "vector" parametrization checks the PMU sample stream is replayed
-    byte-identically from the vectorized path's record.
-    """
-    pa, ca, ra = _twin(pmu_factory, interleave, engine="python")
-    pb, cb, rb = _twin(pmu_factory, interleave, engine=engine)
+def _compare_ctx(scalar_ops, bulk_ops, pmu_factory=None, interleave=False):
+    """Run two op scripts on twin processes and compare everything."""
+    pa, ca, ra = _twin(pmu_factory, interleave)
+    pb, cb, rb = _twin(pmu_factory, interleave)
     scalar_ops(ca)
     bulk_ops(cb)
     assert ra.samples == rb.samples
@@ -327,10 +442,9 @@ PMU_FACTORIES = {
 
 
 class TestCtxDifferential:
-    @pytest.mark.parametrize("engine", ["python", "vector"])
     @pytest.mark.parametrize("pmu", sorted(PMU_FACTORIES))
     @pytest.mark.parametrize("interleave", [False, True])
-    def test_load_run_page_crossing(self, pmu, interleave, engine):
+    def test_load_run_page_crossing(self, pmu, interleave):
         # 3000 unit-stride loads cross ~6 pages; under Interleave each
         # page has a different home node, exercising per-page chunking
         # (and the same-home merge when placement is first-touch).
@@ -344,11 +458,10 @@ class TestCtxDifferential:
             a = ctx.alloc_array("A", (3000,), line=20)
             ctx.load_run(*a.flat_run(), ctx.ip(10))
 
-        _compare_ctx(scalar, bulk, PMU_FACTORIES[pmu], interleave, engine)
+        _compare_ctx(scalar, bulk, PMU_FACTORIES[pmu], interleave)
 
-    @pytest.mark.parametrize("engine", ["python", "vector"])
     @pytest.mark.parametrize("pmu", sorted(PMU_FACTORIES))
-    def test_store_run_strided(self, pmu, engine):
+    def test_store_run_strided(self, pmu):
         def scalar(ctx: Ctx):
             a = ctx.alloc_array("A", (256, 64), line=20)
             ip = ctx.ip(10)
@@ -360,10 +473,9 @@ class TestCtxDifferential:
             a = ctx.alloc_array("A", (256, 64), line=20)
             ctx.store_run(*a.axis_run(0, 0, 3), ctx.ip(10))
 
-        _compare_ctx(scalar, bulk, PMU_FACTORIES[pmu], engine=engine)
+        _compare_ctx(scalar, bulk, PMU_FACTORIES[pmu])
 
-    @pytest.mark.parametrize("engine", ["python", "vector"])
-    def test_mixed_loads_stores_with_profiler(self, engine):
+    def test_mixed_loads_stores_with_profiler(self):
         # Full stack: profiler attached, EBS skid, heap + static accesses.
         def body(ctx: Ctx, bulk: bool):
             a = ctx.alloc_array("A", (1200,), line=20, kind="calloc")
@@ -382,9 +494,7 @@ class TestCtxDifferential:
                     ctx.load_ip(a.flat_addr(i), ip)
 
         def run(bulk: bool):
-            prog = MiniProgram(
-                machine=tiny_machine(engine=engine if bulk else "python")
-            )
+            prog = MiniProgram()
             profiler = DataCentricProfiler(prog.process).attach()
             rec = _SampleRecorder()
             prog.process.hooks.append(rec)

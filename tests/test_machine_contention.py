@@ -1,18 +1,13 @@
-"""The windowed contention model: unloaded-window semantics and bulk path.
+"""The windowed contention model: unloaded-window semantics.
 
 The headline pin here is ``TestUnloadedWindows`` (referenced from the
 ``repro.machine.contention`` docstring): a window below ``min_traffic``
-*discards* its traffic and issuing-thread set by default — intended
-behaviour, since ``min_traffic`` is a per-window bandwidth threshold —
-while the opt-in ``unloaded_carry`` knob decays sub-threshold traffic
-forward so sustained near-threshold imbalance can still build a share.
+*discards* its traffic and issuing-thread set — intended behaviour,
+since ``min_traffic`` is a per-window bandwidth threshold.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import ConfigError
 from repro.machine.contention import ControllerContention
 
 
@@ -24,7 +19,7 @@ def _loaded_window(c: ControllerContention, node: int = 0, n: int = 200,
 
 
 class TestUnloadedWindows:
-    """Below-``min_traffic`` windows: default discard vs opt-in carry."""
+    """Below-``min_traffic`` windows discard their traffic and threads."""
 
     def test_default_discards_traffic_and_tids(self):
         c = ControllerContention(n_nodes=4, capacity_per_window=64)
@@ -58,80 +53,3 @@ class TestUnloadedWindows:
         _loaded_window(c)
         c.new_window()
         assert c.congestion_delay(0) > 0
-
-    def test_carry_accumulates_subthreshold_imbalance(self):
-        # With carry, steady sub-threshold one-node traffic eventually
-        # crosses min_traffic (carried + fresh) and charges a penalty.
-        c = ControllerContention(
-            n_nodes=4, capacity_per_window=64, unloaded_carry=0.5
-        )
-        penalised = False
-        for _ in range(20):
-            for t in range(8):
-                for _ in range(7):  # 56/window: just below threshold
-                    c.dram_access(0, hw_tid=t)
-            c.new_window()
-            if c.congestion_delay(0) > 0:
-                penalised = True
-                break
-        assert penalised, "carried traffic never crossed the threshold"
-
-    def test_carry_keeps_tids_while_traffic_remains(self):
-        c = ControllerContention(
-            n_nodes=2, capacity_per_window=64, unloaded_carry=0.5
-        )
-        for t in range(4):
-            c.dram_access(0, hw_tid=t)
-        c.new_window()
-        assert c.window_load(0) == 2  # 4 * 0.5 carried forward
-        # Once decay empties the carried counts, the set resets too.
-        c.new_window()  # 2 -> 1
-        c.new_window()  # 1 -> 0: cleared
-        assert c.window_load(0) == 0
-        for _ in range(200):
-            c.dram_access(0, hw_tid=0)
-        c.new_window()
-        assert c.congestion_delay(0) == 0, "stale tids leaked through decay"
-
-    def test_carry_zero_matches_legacy(self):
-        a = ControllerContention(n_nodes=4, capacity_per_window=64)
-        b = ControllerContention(
-            n_nodes=4, capacity_per_window=64, unloaded_carry=0.0
-        )
-        for c in (a, b):
-            for t in range(8):
-                c.dram_access(0, hw_tid=t)
-            c.new_window()
-            _loaded_window(c)
-            c.new_window()
-        assert a.congestion_delay(0) == b.congestion_delay(0)
-        assert a.total_queue_cycles == b.total_queue_cycles
-
-    @pytest.mark.parametrize("bad", [-0.1, 1.0, 2.0])
-    def test_carry_validation(self, bad):
-        with pytest.raises(ConfigError):
-            ControllerContention(n_nodes=2, unloaded_carry=bad)
-
-
-class TestBulkAccounting:
-    def test_bulk_equals_scalar_within_window(self):
-        a = ControllerContention(n_nodes=4, capacity_per_window=64)
-        b = ControllerContention(n_nodes=4, capacity_per_window=64)
-        for c in (a, b):
-            _loaded_window(c)
-            c.new_window()
-        total_a = sum(a.dram_access(0, hw_tid=1) for _ in range(300))
-        delay_b = b.dram_access_bulk(0, 1, 300)
-        assert total_a == delay_b * 300
-        assert a.window_load(0) == b.window_load(0)
-        assert a.total_queue_cycles == b.total_queue_cycles
-        a.new_window()
-        b.new_window()
-        assert a.congestion_delay(0) == b.congestion_delay(0)
-
-    def test_bulk_registers_issuing_thread(self):
-        c = ControllerContention(n_nodes=4, capacity_per_window=64)
-        for t in range(4):
-            c.dram_access_bulk(0, t, 50)
-        c.new_window()
-        assert c.congestion_delay(0) > 0  # concurrency gate saw 4 threads

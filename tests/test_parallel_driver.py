@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +35,7 @@ from repro.parallel import (
 from repro.parallel.driver import rank_path
 from repro.pmu.sample import Sample
 
+REPO = Path(__file__).resolve().parent.parent
 HAVE_FORK = "fork" in mp.get_all_start_methods()
 needs_fork = pytest.mark.skipif(
     not HAVE_FORK, reason="test-registered apps require fork inheritance"
@@ -79,6 +83,30 @@ class TestRegistry:
     def test_builtin_apps_resolve(self):
         for app in ("amg2006", "lulesh", "nw", "streamcluster", "sweep3d"):
             assert callable(rank_runner(app))
+
+    def test_rank_workers_never_import_numpy(self):
+        # A forked rank worker pays for every module the simulator
+        # imports; the machine model and all five apps are pure Python.
+        # Runs in a fresh interpreter so no other test's imports count.
+        code = (
+            "import sys\n"
+            "from repro.machine.presets import Machine, builtin_specs\n"
+            "from repro.parallel.registry import APPS, run_app_rank\n"
+            "for spec in builtin_specs():\n"
+            "    Machine(spec)\n"
+            "for app in APPS:\n"
+            "    run_app_rank(app, 0, 2)\n"
+            "assert 'numpy' not in sys.modules, 'a rank imported numpy'\n"
+            "sys.stdout.write('NUMPY-FREE %d' % len(APPS))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "NUMPY-FREE 5"
 
 
 @needs_fork
