@@ -26,8 +26,8 @@ Runs two ways:
   ``--smoke`` shrinks the workload and skips the speedup assertions (CI
   machines have unpredictable timers); the equivalence checks always run
   and fail the bench on any scalar/batched divergence.  ``--stats-out``
-  dumps the batched run's ``MachineStats`` as JSON for
-  ``hpcview info --machine-stats``.
+  dumps the batched machine of the unit-stride headline sweep as
+  ``MachineStats`` JSON for ``hpcview info --machine-stats``.
 
 - under pytest-benchmark with the other reproduction benches
   (``pytest benchmarks/bench_simulator_throughput.py``), asserting the
@@ -60,6 +60,7 @@ SCENARIOS = (
     ("line-stride (64B)", 64, 0.5),
     ("page-stride (4KiB)", 4096, 0.1),
 )
+HEADLINE = SCENARIOS[0][0]
 
 
 def _state(h) -> tuple:
@@ -99,10 +100,11 @@ def _time(fn, *args) -> tuple[float, int]:
 
 
 def run_throughput(n_accesses: int, check_speedup: bool):
-    """Compare the two paths sweep-by-sweep; returns (rows, batched machine)."""
+    """Compare the two paths sweep-by-sweep; returns (rows, the headline
+    sweep's batched machine)."""
     rows = []
     speedups = {}
-    batched_machine = None
+    headline_machine = None
     for name, stride, scale in SCENARIOS:
         count = max(1, int(n_accesses * scale))
         base = 1 << 30
@@ -112,7 +114,8 @@ def run_throughput(n_accesses: int, check_speedup: bool):
 
         m_batched = amd_magnycours()
         dt_b, lat_b = _time(_merged_sweep, m_batched.hierarchy, base, stride, count)
-        batched_machine = m_batched
+        if name == HEADLINE:
+            headline_machine = m_batched
 
         if lat_s != lat_b or _state(m_scalar.hierarchy) != _state(m_batched.hierarchy):
             raise AssertionError(
@@ -134,12 +137,11 @@ def run_throughput(n_accesses: int, check_speedup: bool):
         )
 
     if check_speedup:
-        unit = "unit-stride (8B)"
-        assert speedups[unit] >= MIN_SPEEDUP, (
-            f"unit-stride batched speedup {speedups[unit]:.2f}x below "
+        assert speedups[HEADLINE] >= MIN_SPEEDUP, (
+            f"unit-stride batched speedup {speedups[HEADLINE]:.2f}x below "
             f"the {MIN_SPEEDUP}x acceptance bar"
         )
-    return rows, batched_machine
+    return rows, headline_machine
 
 
 def _build_ctx():
@@ -263,7 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--stats-out",
         metavar="FILE.json",
-        help="write the batched run's MachineStats snapshot as JSON",
+        help="write the MachineStats snapshot of the unit-stride headline "
+        "sweep's batched machine as JSON",
     )
     args = parser.parse_args(argv)
 

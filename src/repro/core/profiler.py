@@ -39,7 +39,6 @@ from repro.core.unwind import (
     UNWIND_PER_FRAME,
     frame_entry,
     ip_entry,
-    unwind_keys,
 )
 from repro.core.varmap import (
     HeapDataMap,
@@ -114,6 +113,14 @@ class DataCentricProfiler:
         self.stats = ProfilerStats()
         self._thread_profiles: dict[str, ThreadProfile] = {}
         self._trampolines: dict[str, TrampolineUnwinder] = {}
+        # Sample-path memo: the entries ``frame_entry`` builds, keyed by
+        # (function, call-site IP), and those ``ip_entry`` builds, keyed
+        # by leaf IP.  Both depend only on which modules are loaded where,
+        # so the module hooks clear them.  Entries (and their ``info``
+        # dicts) are shared by every node built from them; nothing may
+        # mutate a node's ``info`` in place.
+        self._frame_entries: dict[tuple, PathEntry] = {}
+        self._leaf_entries: dict[int, PathEntry] = {}
         self._attached = False
 
     # -- lifecycle ---------------------------------------------------------
@@ -159,9 +166,11 @@ class DataCentricProfiler:
     # -- hook: modules ----------------------------------------------------------
 
     def on_module_load(self, process: "SimProcess", module: "LoadModule") -> None:
+        self._clear_path_memo()
         self.static_map.on_load(module)
 
     def on_module_unload(self, process: "SimProcess", module: "LoadModule") -> None:
+        self._clear_path_memo()
         self.static_map.on_unload(module)
 
     def on_thread_create(self, process: "SimProcess", thread: "SimThread") -> None:
@@ -260,6 +269,31 @@ class DataCentricProfiler:
 
     # -- hook: PMU samples -----------------------------------------------------------
 
+    def _clear_path_memo(self) -> None:
+        self._frame_entries.clear()
+        self._leaf_entries.clear()
+
+    def _sample_path(
+        self, process: "SimProcess", thread: "SimThread", leaf_ip: int | None
+    ) -> list[PathEntry]:
+        """``unwind_keys(process, thread, leaf_ip)``, built from the memo."""
+        frame_entries = self._frame_entries
+        path: list[PathEntry] = []
+        for frame in thread.frames:
+            key = (frame.function, frame.callsite_ip)
+            entry = frame_entries.get(key)
+            if entry is None:
+                entry = frame_entries[key] = frame_entry(frame)
+            path.append(entry)
+        if leaf_ip is not None:
+            entry = self._leaf_entries.get(leaf_ip)
+            if entry is None:
+                # ip_entry raises ProfileError for an IP outside every
+                # loaded module; failures are not memoized.
+                entry = self._leaf_entries[leaf_ip] = ip_entry(process, leaf_ip)
+            path.append(entry)
+        return path
+
     def on_sample(self, process: "SimProcess", thread: "SimThread", sample: "Sample") -> None:
         cfg = self.config
         self.stats.samples += 1
@@ -270,16 +304,15 @@ class DataCentricProfiler:
             cfg.sample_handler_cost + self._context_cost() + depth * UNWIND_PER_FRAME,
         )
 
-        if not sample.is_memory:
-            path = unwind_keys(process, thread, sample.precise_ip or None)
+        ea = sample.ea
+        if ea is None:
+            path = self._sample_path(process, thread, sample.precise_ip or None)
             profile.cct(StorageClass.NONMEM).add_sample_at(path, sample)
             return
 
         self.stats.mem_samples += 1
         leaf_ip = sample.precise_ip if cfg.use_precise_ip else sample.interrupt_ip
-        access_path = unwind_keys(process, thread, leaf_ip)
-        ea = sample.ea
-        assert ea is not None
+        access_path = self._sample_path(process, thread, leaf_ip)
 
         self._charge(thread, cfg.map_lookup_cost)
         heap_var = self.heap_map.lookup(ea)

@@ -44,6 +44,16 @@ class SetAssocCache:
     def capacity_lines(self) -> int:
         return self.n_sets * self.assoc
 
+    @property
+    def sets(self) -> list[list[int]]:
+        """The live tag store: one MRU-first list per set, index ``line & (n_sets - 1)``.
+
+        The lists are only ever mutated in place, never replaced, so
+        ``MemoryHierarchy``'s fused scalar path binds them once and probes
+        them directly (bumping ``hits``/``misses`` itself).
+        """
+        return self._sets
+
     def access(self, line: int) -> bool:
         """Look up ``line``; on hit, promote to MRU.  Returns hit/miss.
 

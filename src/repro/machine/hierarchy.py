@@ -132,6 +132,28 @@ class MemoryHierarchy:
         self._core_of = [topology.core_of(t) for t in range(topology.n_threads)]
         self._socket_of = [topology.socket_of(t) for t in range(topology.n_threads)]
         self._numa_of = [topology.numa_of(t) for t in range(topology.n_threads)]
+        # The fused scalar path's per-hardware-thread bindings: the TLB
+        # and L1 caches with their live per-set tag lists (every access),
+        # then L2 and L3 likewise plus the core's stream state (L1 misses).
+        # The tag lists are never replaced, only mutated, so binding them
+        # once is safe; invalidation clears them in place.
+        self._near: list[tuple] = []
+        self._far: list[tuple] = []
+        for t in range(topology.n_threads):
+            core = self._core_of[t]
+            tlb_cache = self.tlb[core].cache
+            l1, l2 = self.l1[core], self.l2[core]
+            l3 = self.l3[self._socket_of[t]]
+            self._near.append((core, tlb_cache, tlb_cache.sets, l1, l1.sets))
+            self._far.append((l2, l2.sets, l3, l3.sets, self._streams[core]))
+        self._tlb_mask = tlb_sets - 1
+        self._tlb_assoc = tlb_assoc
+        self._l1_mask = l1_sets - 1
+        self._l1_assoc = l1_assoc
+        self._l2_mask = l2_sets - 1
+        self._l2_assoc = l2_assoc
+        self._l3_mask = l3_sets - 1
+        self._l3_assoc = l3_assoc
 
         self.level_counts = [0, 0, 0, 0, 0]
         # DRAM accesses by interconnect distance: [same-node, same-socket
@@ -154,36 +176,61 @@ class MemoryHierarchy:
         Returns ``(latency_cycles, level, tlb_miss)`` as a plain tuple.
         ``home_node`` is the NUMA placement of the page containing
         ``vaddr`` (resolved by the process's address space at touch time).
+
+        Fused: the TLB and caches are probed, promoted and filled on
+        their per-set MRU-first tag lists directly, with hit/miss counters
+        bumped exactly where ``SetAssocCache.access`` bumps them.  A fill
+        after a miss skips ``install``'s membership scan: the line (page)
+        just missed that level, so it is absent.  State- and
+        result-identical to the method-call form frozen in
+        ``tests/access_oracle.py`` (differential test
+        ``tests/test_machine_access_oracle.py``).
         """
         lat = self.latency
-        core = self._core_of[hw_tid]
-        line = vaddr >> self.line_bits
-
+        core, tlb, tlb_sets, l1, l1_sets = self._near[hw_tid]
         if is_store:
             self.store_count += 1
         else:
             self.load_count += 1
 
-        cycles = 0
-        if not self.tlb[core].access(vaddr >> self.page_bits):
-            cycles += lat.tlb_walk
-            tlb_miss = True
-        else:
+        # TLB: a hit is promoted to MRU; a miss walks and fills as MRU.
+        page = vaddr >> self.page_bits
+        tlb_ways = tlb_sets[page & self._tlb_mask]
+        if page in tlb_ways:
+            tlb.hits += 1
+            if tlb_ways[0] != page:
+                tlb_ways.remove(page)
+                tlb_ways.insert(0, page)
+            cycles = 0
             tlb_miss = False
+        else:
+            tlb.misses += 1
+            tlb_ways.insert(0, page)
+            if len(tlb_ways) > self._tlb_assoc:
+                tlb_ways.pop()
+            cycles = lat.tlb_walk
+            tlb_miss = True
 
-        if self.l1[core].access(line):
+        line = vaddr >> self.line_bits
+        l1_ways = l1_sets[line & self._l1_mask]
+        if line in l1_ways:
+            l1.hits += 1
+            if l1_ways[0] != line:
+                l1_ways.remove(line)
+                l1_ways.insert(0, line)
             self.level_counts[LVL_L1] += 1
             return (cycles + lat.l1, LVL_L1, tlb_miss)
+        l1.misses += 1
+        l2, l2_sets, l3, l3_sets, streams = self._far[hw_tid]
 
         # L1 miss: consult the stream prefetcher before probing deeper.
+        # The first stream expecting this line advances (``index`` finds
+        # the first match, as a scan in stream order would).
         prefetched = False
         if self.prefetch_enabled:
-            streams = self._streams[core]
-            for i in range(_STREAMS_PER_CORE):
-                if streams[i] == line:
-                    prefetched = True
-                    streams[i] = line + 1
-                    break
+            if line in streams:
+                prefetched = True
+                streams[streams.index(line)] = line + 1
             else:
                 # Start/replace a stream at this miss.
                 rr = self._stream_rr[core]
@@ -195,17 +242,37 @@ class MemoryHierarchy:
         if is_store:
             cycles += lat.store_extra
 
-        if self.l2[core].access(line):
-            self.l1[core].install(line)
+        # Every service path below fills L1, so fill it now (the levels
+        # are separate lists: filling before probing L2 is unobservable).
+        # Each fill is into a level that just missed, so no scan first.
+        l1_ways.insert(0, line)
+        if len(l1_ways) > self._l1_assoc:
+            l1_ways.pop()
+        l2_ways = l2_sets[line & self._l2_mask]
+        if line in l2_ways:
+            l2.hits += 1
+            if l2_ways[0] != line:
+                l2_ways.remove(line)
+                l2_ways.insert(0, line)
             self.level_counts[LVL_L2] += 1
             return (cycles + lat.l2, LVL_L2, tlb_miss)
+        l2.misses += 1
+        l2_ways.insert(0, line)
+        if len(l2_ways) > self._l2_assoc:
+            l2_ways.pop()
 
-        socket = self._socket_of[hw_tid]
-        if self.l3[socket].access(line):
-            self.l1[core].install(line)
-            self.l2[core].install(line)
+        l3_ways = l3_sets[line & self._l3_mask]
+        if line in l3_ways:
+            l3.hits += 1
+            if l3_ways[0] != line:
+                l3_ways.remove(line)
+                l3_ways.insert(0, line)
             self.level_counts[LVL_L3] += 1
             return (cycles + lat.l3, LVL_L3, tlb_miss)
+        l3.misses += 1
+        l3_ways.insert(0, line)
+        if len(l3_ways) > self._l3_assoc:
+            l3_ways.pop()
 
         # DRAM access on the page's home node.
         my_node = self._numa_of[hw_tid]
@@ -221,9 +288,6 @@ class MemoryHierarchy:
             cycles += lat.l3 + queue
         else:
             cycles += lat.dram(hops) + queue
-        self.l1[core].install(line)
-        self.l2[core].install(line)
-        self.l3[socket].install(line)
         level = LVL_RMEM if remote else LVL_LMEM
         self.level_counts[level] += 1
         self.hop_counts[hops] += 1

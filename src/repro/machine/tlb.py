@@ -33,6 +33,12 @@ class TLB:
         self._cache.note_repeat_hits(n)
 
     @property
+    def cache(self) -> SetAssocCache:
+        """The page-number cache behind this TLB (probed directly by
+        ``MemoryHierarchy.access``)."""
+        return self._cache
+
+    @property
     def hits(self) -> int:
         return self._cache.hits
 

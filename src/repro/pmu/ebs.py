@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.pmu.sample import Sample
-from repro.util.rng import DeterministicRNG
+from repro.util.rng import DeterministicRNG, jitter_bounds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import SimProcess
@@ -58,10 +58,14 @@ class EBSEngine:
         self.skid = skid
         self.jitter = jitter
         self.rng = DeterministicRNG(seed)
+        lo, hi = jitter_bounds(period, jitter)
+        self._jitter_lo = lo
+        self._jitter_span = hi - lo + 1
         self.samples_taken = 0
 
-    def _reset_countdown(self, thread: "SimThread") -> None:
-        thread.pmu_countdown = self.rng.geometric_jitter(self.period, self.jitter)
+    def _next_countdown(self) -> int:
+        """A fresh jittered period (what ``rng.geometric_jitter`` draws)."""
+        return self._jitter_lo + self.rng.next_u64() % self._jitter_span
 
     def note_mem(
         self,
@@ -81,12 +85,14 @@ class EBSEngine:
                 thread.pmu_pending = None
                 self._deliver(process, thread, pending, interrupt_ip=ip)
             return
-        if thread.pmu_countdown <= 0:
-            self._reset_countdown(thread)
-        thread.pmu_countdown -= 1
-        if thread.pmu_countdown > 0:
+        countdown = thread.pmu_countdown
+        if countdown <= 0:
+            countdown = self._next_countdown()
+        countdown -= 1
+        if countdown > 0:
+            thread.pmu_countdown = countdown
             return
-        self._reset_countdown(thread)
+        thread.pmu_countdown = self._next_countdown()
         if self.skid == 0:
             self._deliver(
                 process,
@@ -108,11 +114,8 @@ class EBSEngine:
             if pending.remaining <= 0:
                 thread.pmu_pending = None
                 frames = thread.frames
-                here = (
-                    frames[-1].function.ip(frames[-1].function.start_line)
-                    if frames
-                    else pending.ip
-                )
+                # Interrupt lands at the current function's entry IP.
+                here = frames[-1].function.text_base if frames else pending.ip
                 self._deliver(process, thread, pending, interrupt_ip=here)
 
     def _deliver(
@@ -124,15 +127,8 @@ class EBSEngine:
     ) -> None:
         self.samples_taken += 1
         sample = Sample(
-            event="EBS",
-            precise_ip=pending.ip,
-            interrupt_ip=interrupt_ip,
-            ea=pending.ea,
-            latency=pending.latency,
-            level=pending.level,
-            tlb_miss=pending.tlb_miss,
-            is_store=pending.is_store,
-            period=self.period,
+            "EBS", pending.ip, interrupt_ip, pending.ea, pending.latency,
+            pending.level, pending.tlb_miss, pending.is_store, self.period,
         )
         for hook in process.hooks:
             hook.on_sample(process, thread, sample)

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigError
 from repro.pmu.events import IBS_EVENT
 from repro.pmu.sample import Sample
-from repro.util.rng import DeterministicRNG
+from repro.util.rng import DeterministicRNG, jitter_bounds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import SimProcess
@@ -34,16 +34,15 @@ class IBSEngine:
         self.period = period
         self.jitter = jitter
         self.rng = DeterministicRNG(seed)
+        lo, hi = jitter_bounds(period, jitter)
+        self._jitter_lo = lo
+        self._jitter_span = hi - lo + 1
         self.samples_taken = 0
         self.mem_samples = 0
 
-    def _reset_countdown(self, thread: "SimThread") -> None:
-        thread.pmu_countdown = self.rng.geometric_jitter(self.period, self.jitter)
-
-    def _armed_countdown(self, thread: "SimThread") -> int:
-        if thread.pmu_countdown <= 0:
-            self._reset_countdown(thread)
-        return thread.pmu_countdown
+    def _next_countdown(self) -> int:
+        """A fresh jittered period (what ``rng.geometric_jitter`` draws)."""
+        return self._jitter_lo + self.rng.next_u64() % self._jitter_span
 
     def note_mem(
         self,
@@ -56,23 +55,18 @@ class IBSEngine:
         tlb_miss: bool,
         is_store: bool,
     ) -> None:
-        countdown = self._armed_countdown(thread) - 1
+        countdown = thread.pmu_countdown
+        if countdown <= 0:
+            countdown = self._next_countdown()
+        countdown -= 1
         if countdown > 0:
             thread.pmu_countdown = countdown
             return
-        self._reset_countdown(thread)
+        thread.pmu_countdown = self._next_countdown()
         self.samples_taken += 1
         self.mem_samples += 1
         sample = Sample(
-            event=IBS_EVENT,
-            precise_ip=ip,
-            interrupt_ip=ip,
-            ea=ea,
-            latency=latency,
-            level=level,
-            tlb_miss=tlb_miss,
-            is_store=is_store,
-            period=self.period,
+            IBS_EVENT, ip, ip, ea, latency, level, tlb_miss, is_store, self.period
         )
         for hook in process.hooks:
             hook.on_sample(process, thread, sample)
@@ -83,7 +77,9 @@ class IBSEngine:
         # large compute block neither swallows the countdown (starving the
         # interleaved memory ops) nor under-reports non-memory samples.
         remaining = n
-        countdown = self._armed_countdown(thread)
+        countdown = thread.pmu_countdown
+        if countdown <= 0:
+            countdown = self._next_countdown()
         while remaining >= countdown:
             remaining -= countdown
             self._deliver_nonmem(process, thread)
@@ -91,22 +87,13 @@ class IBSEngine:
         thread.pmu_countdown = countdown - remaining
 
     def _deliver_nonmem(self, process: "SimProcess", thread: "SimThread") -> None:
-        self._reset_countdown(thread)
+        thread.pmu_countdown = self._next_countdown()
         self.samples_taken += 1
         # Non-memory instruction sampled: no EA, no latency; the profiler
-        # files it in the "no memory access" CCT.
+        # files it in the "no memory access" CCT.  The IP is the current
+        # function's entry (its first line's first slot, ``text_base``).
         frames = thread.frames
-        ip = frames[-1].function.ip(frames[-1].function.start_line) if frames else 0
-        sample = Sample(
-            event=IBS_EVENT,
-            precise_ip=ip,
-            interrupt_ip=ip,
-            ea=None,
-            latency=0,
-            level=-1,
-            tlb_miss=False,
-            is_store=False,
-            period=self.period,
-        )
+        ip = frames[-1].function.text_base if frames else 0
+        sample = Sample(IBS_EVENT, ip, ip, None, 0, -1, False, False, self.period)
         for hook in process.hooks:
             hook.on_sample(process, thread, sample)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 from repro.errors import ConfigError
 from repro.pmu.events import EVENT_PREDICATES
 from repro.pmu.sample import Sample
-from repro.util.rng import DeterministicRNG
+from repro.util.rng import DeterministicRNG, jitter_bounds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import SimProcess
@@ -40,11 +40,15 @@ class MarkedEventEngine:
         self.jitter = jitter
         self._predicate = predicate
         self.rng = DeterministicRNG(seed)
+        lo, hi = jitter_bounds(period, jitter)
+        self._jitter_lo = lo
+        self._jitter_span = hi - lo + 1
         self.samples_taken = 0
         self.events_counted = 0
 
-    def _reset_countdown(self, thread: "SimThread") -> None:
-        thread.pmu_countdown = self.rng.geometric_jitter(self.period, self.jitter)
+    def _next_countdown(self) -> int:
+        """A fresh jittered period (what ``rng.geometric_jitter`` draws)."""
+        return self._jitter_lo + self.rng.next_u64() % self._jitter_span
 
     def note_mem(
         self,
@@ -60,23 +64,18 @@ class MarkedEventEngine:
         if not self._predicate(level, latency, tlb_miss):
             return
         self.events_counted += 1
-        if thread.pmu_countdown <= 0:
-            self._reset_countdown(thread)
-        thread.pmu_countdown -= 1
-        if thread.pmu_countdown > 0:
+        countdown = thread.pmu_countdown
+        if countdown <= 0:
+            countdown = self._next_countdown()
+        countdown -= 1
+        if countdown > 0:
+            thread.pmu_countdown = countdown
             return
-        self._reset_countdown(thread)
+        thread.pmu_countdown = self._next_countdown()
         self.samples_taken += 1
+        # Precise IP (SIAR) doubles as the interrupt IP; ``ea`` is SDAR.
         sample = Sample(
-            event=self.event,
-            precise_ip=ip,       # SIAR
-            interrupt_ip=ip,
-            ea=ea,               # SDAR
-            latency=latency,
-            level=level,
-            tlb_miss=tlb_miss,
-            is_store=is_store,
-            period=self.period,
+            self.event, ip, ip, ea, latency, level, tlb_miss, is_store, self.period
         )
         for hook in process.hooks:
             hook.on_sample(process, thread, sample)

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
 from repro.pmu.sample import Sample
-from repro.util.rng import DeterministicRNG
+from repro.util.rng import DeterministicRNG, jitter_bounds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import SimProcess
@@ -43,11 +43,15 @@ class PEBSEngine:
         self.jitter = jitter
         self.sample_stores = sample_stores
         self.rng = DeterministicRNG(seed)
+        lo, hi = jitter_bounds(period, jitter)
+        self._jitter_lo = lo
+        self._jitter_span = hi - lo + 1
         self.samples_taken = 0
         self.events_counted = 0
 
-    def _reset_countdown(self, thread: "SimThread") -> None:
-        thread.pmu_countdown = self.rng.geometric_jitter(self.period, self.jitter)
+    def _next_countdown(self) -> int:
+        """A fresh jittered period (what ``rng.geometric_jitter`` draws)."""
+        return self._jitter_lo + self.rng.next_u64() % self._jitter_span
 
     def note_mem(
         self,
@@ -65,23 +69,19 @@ class PEBSEngine:
         if latency < self.latency_threshold:
             return
         self.events_counted += 1
-        if thread.pmu_countdown <= 0:
-            self._reset_countdown(thread)
-        thread.pmu_countdown -= 1
-        if thread.pmu_countdown > 0:
+        countdown = thread.pmu_countdown
+        if countdown <= 0:
+            countdown = self._next_countdown()
+        countdown -= 1
+        if countdown > 0:
+            thread.pmu_countdown = countdown
             return
-        self._reset_countdown(thread)
+        thread.pmu_countdown = self._next_countdown()
         self.samples_taken += 1
+        # PEBS records are precise: the interrupt IP is the sampled IP.
         sample = Sample(
-            event=f"MEM_TRANS_RETIRED.LOAD_LATENCY_GT_{self.latency_threshold}",
-            precise_ip=ip,
-            interrupt_ip=ip,   # PEBS records are precise
-            ea=ea,
-            latency=latency,
-            level=level,
-            tlb_miss=tlb_miss,
-            is_store=is_store,
-            period=self.period,
+            f"MEM_TRANS_RETIRED.LOAD_LATENCY_GT_{self.latency_threshold}",
+            ip, ip, ea, latency, level, tlb_miss, is_store, self.period,
         )
         for hook in process.hooks:
             hook.on_sample(process, thread, sample)

@@ -9,16 +9,19 @@ skid (EBS); the profiler's leaf correction picks the precise one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.machine.hierarchy import LEVEL_NAMES
 
 __all__ = ["Sample"]
 
 
-@dataclass(frozen=True)
-class Sample:
-    """One PMU sample (a monitored instruction's retirement record)."""
+class Sample(NamedTuple):
+    """One PMU sample (a monitored instruction's retirement record).
+
+    An immutable record built once per delivered sample, so it is a
+    named tuple: engines construct it positionally, in field order.
+    """
 
     event: str           # event/engine that produced the sample
     precise_ip: int      # IP recorded by the monitoring hardware (SIAR-style)

@@ -102,6 +102,17 @@ class AddressSpace:
         self.memmgr.note_page_placed(node)
         return node
 
+    @property
+    def page_table(self) -> dict[int, int]:
+        """The live page table: virtual page number -> home NUMA node.
+
+        Holds touched pages only.  Callers read it (``Ctx`` resolves an
+        already-placed page with one lookup and falls back to
+        :meth:`home_of` on a miss); placement and migration write it
+        through :meth:`home_of` and :meth:`migrate_range` alone.
+        """
+        return self._page_home
+
     def page_home_if_touched(self, vaddr: int) -> int | None:
         """Non-committing lookup (for tests/inspection)."""
         return self._page_home.get(vaddr >> self.page_bits)

@@ -41,7 +41,8 @@ class Ctx:
 
     __slots__ = (
         "process", "thread", "_aspace", "_hier", "_compute_cycle",
-        "_page_bits", "_san", "_sampler",
+        "_page_bits", "_san", "_sampler", "_access", "_hw_tid", "_node",
+        "_page_home",
     )
 
     def __init__(self, process: SimProcess, thread: SimThread) -> None:
@@ -58,6 +59,14 @@ class Ctx:
         # Run sampler, same pattern (repro.sim.sampling session active at
         # process creation -> sampled simulation; otherwise always None).
         self._sampler = process.sampler
+        # Scalar access path, bound once: the hierarchy's access method,
+        # the thread's placement (fixed for its lifetime) and the live
+        # page table, so an already-placed page resolves with one dict
+        # lookup and ``home_of`` runs only on first touch.
+        self._access = self._hier.access
+        self._hw_tid = thread.hw_tid
+        self._node = thread.numa_node
+        self._page_home = self._aspace.page_table
 
     # -- call-stack management ------------------------------------------------
 
@@ -103,8 +112,10 @@ class Ctx:
         san = self._san
         if san is not None:
             san.on_access(thread, vaddr, ip, False)
-        home = self._aspace.home_of(vaddr, thread.numa_node)
-        lat, lvl, tlbm = self._hier.access(thread.hw_tid, vaddr, home, False)
+        home = self._page_home.get(vaddr >> self._page_bits)
+        if home is None:
+            home = self._aspace.home_of(vaddr, self._node)
+        lat, lvl, tlbm = self._access(self._hw_tid, vaddr, home, False)
         thread.clock += lat
         thread.inst_count += 1
         thread.mem_count += 1
@@ -122,8 +133,10 @@ class Ctx:
         san = self._san
         if san is not None:
             san.on_access(thread, vaddr, ip, True)
-        home = self._aspace.home_of(vaddr, thread.numa_node)
-        lat, lvl, tlbm = self._hier.access(thread.hw_tid, vaddr, home, True)
+        home = self._page_home.get(vaddr >> self._page_bits)
+        if home is None:
+            home = self._aspace.home_of(vaddr, self._node)
+        lat, lvl, tlbm = self._access(self._hw_tid, vaddr, home, True)
         thread.clock += lat
         thread.inst_count += 1
         thread.mem_count += 1

@@ -7,7 +7,7 @@ reproducible bit-for-bit.
 
 from __future__ import annotations
 
-__all__ = ["DeterministicRNG", "splitmix64", "derive_rank_seed"]
+__all__ = ["DeterministicRNG", "splitmix64", "derive_rank_seed", "jitter_bounds"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -20,6 +20,22 @@ def splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     z ^= z >> 31
     return state, z
+
+
+def jitter_bounds(period: int, frac: float) -> tuple[int, int]:
+    """Inclusive ``(lo, hi)`` range of a period jittered by ``+/- frac``.
+
+    ``lo`` is clamped to at least 1 and ``hi`` to at least ``lo``.  The
+    one definition shared by :meth:`DeterministicRNG.geometric_jitter`
+    and the PMU engines, which compute it once per engine and then draw
+    ``lo + rng.next_u64() % (hi - lo + 1)`` per period — the same values,
+    in the same order, as calling ``geometric_jitter`` each time.
+    """
+    if period <= 0:
+        raise ValueError("period must be positive")
+    lo = max(1, int(period * (1.0 - frac)))
+    hi = max(lo, int(period * (1.0 + frac)))
+    return lo, hi
 
 
 def derive_rank_seed(base_seed: int, rank: int) -> int:
@@ -68,10 +84,7 @@ class DeterministicRNG:
         clamps to at least 1.  Randomized periods avoid lockstep aliasing
         between the sampler and loop structure, the standard PMU trick.
         """
-        if period <= 0:
-            raise ValueError("period must be positive")
-        lo = max(1, int(period * (1.0 - frac)))
-        hi = max(lo, int(period * (1.0 + frac)))
+        lo, hi = jitter_bounds(period, frac)
         return self.randint(lo, hi)
 
     def shuffle(self, seq: list) -> None:
