@@ -1,19 +1,14 @@
-"""Simulator throughput: scalar vs batched vs sampled.
+"""Simulator throughput: scalar vs batched.
 
 Times the simulator's own hot loop (not the simulated workload!) in
-simulated-accesses-per-second for the scalar and batched access paths
-plus opt-in run sampling, and cross-checks that both full-fidelity
-paths leave bit-identical machine state:
+simulated-accesses-per-second for the scalar and batched access paths,
+and cross-checks that both paths leave bit-identical machine state:
 
 - **scalar**: one ``MemoryHierarchy.access`` call per access (the
   oracle loop);
 - **batched**: one ``MemoryHierarchy.access_run`` call per sweep — the
   merged same-home run ``Ctx`` issues when every page of the sweep has
-  the same home node;
-- **sampled**: ``Ctx``-level run sampling (``repro.sim.sampling``) on
-  top of the batched path — not bit-identical by design, so it is
-  timed and reported (with its extrapolation scale) but parity-checked
-  only for the always-simulated tallies.
+  the same home node.
 
 Runs two ways:
 
@@ -51,7 +46,6 @@ from repro.util.fmt import format_table
 FULL_ACCESSES = 400_000
 SMOKE_ACCESSES = 30_000
 MIN_SPEEDUP = 2.0  # batched over scalar, unit-stride
-MIN_SAMPLED_SPEEDUP = 2.0  # sampled over unsampled Ctx, rate 0.25
 
 # (name, stride in bytes, accesses scale): unit-stride is the headline
 # case; line-stride misses every access; page-stride stresses the TLB.
@@ -158,52 +152,6 @@ def _build_ctx():
     return proc, ctx
 
 
-def _ctx_run_storm(ctx, arr, n_runs: int, run_len: int) -> None:
-    ip = ctx.ip(10)
-    for i in range(n_runs):
-        start = (i * 17) % max(1, arr.shape[0] - run_len)
-        base, count, stride = arr.flat_run(start, run_len)
-        ctx.load_run(base, count, stride, ip)
-
-
-def run_sampled(n_accesses: int, check_speedup: bool, rate: float = 0.25):
-    """Time a Ctx-level run storm unsampled vs sampled; returns a row."""
-    from repro.sim.sampling import sampling
-
-    run_len = 1 << 10
-    n_runs = max(1, n_accesses // run_len)
-
-    proc_full, ctx_full = _build_ctx()
-    arr_full = ctx_full.alloc_array("A", (n_runs * 32 + run_len,), line=20)
-    dt_full, _ = _time(_ctx_run_storm, ctx_full, arr_full, n_runs, run_len)
-
-    with sampling(rate=rate, min_run=64, seed=7):
-        proc_samp, ctx_samp = _build_ctx()
-    arr_samp = ctx_samp.alloc_array("A", (n_runs * 32 + run_len,), line=20)
-    dt_samp, _ = _time(_ctx_run_storm, ctx_samp, arr_samp, n_runs, run_len)
-
-    sampler = proc_samp.sampler
-    assert sampler is not None
-    assert sampler.issued_accesses == proc_full.master.mem_count
-    count = n_runs * run_len
-    rate_full = count / dt_full
-    rate_samp = count / dt_samp
-    speedup = rate_samp / rate_full
-    if check_speedup:
-        assert speedup >= MIN_SAMPLED_SPEEDUP, (
-            f"sampled speedup {speedup:.2f}x below the "
-            f"{MIN_SAMPLED_SPEEDUP}x bar at rate {rate}"
-        )
-    return (
-        f"sampled runs (rate {rate})",
-        f"{count}",
-        f"{rate_full / 1e6:.2f}M/s",
-        f"{rate_samp / 1e6:.2f}M/s",
-        f"{sampler.scale():.2f}",
-        f"{speedup:.2f}x",
-    )
-
-
 def run_ctx_equivalence(n: int = 20_000) -> None:
     """End-to-end sanity: Ctx.load_run == Ctx.load_ip loop."""
     pa, ca = _build_ctx()
@@ -227,14 +175,6 @@ def _render(rows) -> str:
     )
 
 
-def _render_sampled(row) -> str:
-    return format_table(
-        ("workload", "accesses", "full", "sampled", "scale", "speedup"),
-        [row],
-        title="sampled simulation (Ctx run storm, batched path)",
-    )
-
-
 # ---- pytest entry point ----------------------------------------------------
 
 
@@ -245,11 +185,7 @@ def test_simulator_throughput(benchmark):
     rows, _ = benchmark.pedantic(
         run_throughput, args=(FULL_ACCESSES, True), rounds=1, iterations=1
     )
-    sampled_row = run_sampled(FULL_ACCESSES, check_speedup=True)
-    report(
-        "simulator throughput: batched fast path",
-        _render(rows) + "\n" + _render_sampled(sampled_row),
-    )
+    report("simulator throughput: batched fast path", _render(rows))
 
 
 # ---- standalone entry point ------------------------------------------------
@@ -274,8 +210,6 @@ def main(argv: list[str] | None = None) -> int:
     run_ctx_equivalence(5_000 if args.smoke else 20_000)
     rows, machine = run_throughput(n, check_speedup=not args.smoke)
     print(_render(rows))
-    sampled_row = run_sampled(n, check_speedup=not args.smoke)
-    print(_render_sampled(sampled_row))
     print("scalar/batched equivalence: OK")
 
     if args.stats_out:

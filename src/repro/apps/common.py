@@ -87,9 +87,8 @@ def as_rank_db(
     The parallel driver writes this DB to ``measurements/<app>/<rank>.rpdb``;
     the metadata lets the merge (and a human with ``hpcview info``) tell
     which rank of which run a stray file belongs to.  When the simulated
-    ``process`` is supplied, its elapsed cycles and — under a sampled
-    session — the sampler's tallies ride along, which is what the
-    fidelity report and ``hpcview`` read back.
+    ``process`` is supplied, its elapsed cycles and machine preset ride
+    along too; ``hpcview info`` prints them back.
     """
     db.process_name = f"{app}.rank{rank:04d}"
     db.meta.update(
@@ -105,8 +104,6 @@ def as_rank_db(
         # per-architecture constant overrides (latencies, thresholds) on
         # this when deriving metrics from the merged profile.
         db.meta["machine"] = process.machine.spec.name
-        if process.sampler is not None:
-            db.meta.update(process.sampler.to_meta())
     return db
 
 

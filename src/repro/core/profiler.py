@@ -126,11 +126,17 @@ class DataCentricProfiler:
     # -- lifecycle ---------------------------------------------------------
 
     def attach(self) -> "DataCentricProfiler":
-        """Install hooks into the process (idempotent)."""
+        """Install hooks into the process (idempotent).
+
+        Module hooks do not fire while detached, so every attach maps the
+        modules loaded now afresh and drops the sample-path memo.
+        """
         if not self._attached:
             self.process.hooks.append(self)
+            self.static_map = StaticDataMap()
             for module in self.process.modules:
                 self.static_map.on_load(module)
+            self._clear_path_memo()
             self._attached = True
         return self
 

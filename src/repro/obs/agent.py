@@ -269,29 +269,6 @@ class ObsAgent:
                     help_text="sanitizer findings for this process",
                 )
 
-        # Sampled-simulation layer (only when a sampling session attached
-        # a RunSampler): the tallies behind the fidelity report, so an
-        # obs scrape can tell how much of a profile was extrapolated.
-        sampler = getattr(process, "sampler", None)
-        if sampler is not None:
-            for name, attr in (
-                ("repro_sim_sampling_issued_runs", "issued_runs"),
-                ("repro_sim_sampling_issued_accesses", "issued_accesses"),
-                ("repro_sim_sampling_scalar_accesses", "scalar_accesses"),
-                ("repro_sim_sampling_skipped_runs", "skipped_runs"),
-                ("repro_sim_sampling_skipped_accesses", "skipped_accesses"),
-                ("repro_sim_sampling_estimated_cycles", "estimated_cycles"),
-                ("repro_sim_sampling_simulated_cycles", "simulated_cycles"),
-            ):
-                metrics.set_gauge(
-                    name, getattr(sampler, attr), labels,
-                    help_text="run-sampling tally",
-                )
-            metrics.set_gauge(
-                "repro_sim_sampling_scale", sampler.scale(), labels,
-                help_text="extrapolation factor for count-type metrics",
-            )
-
         # Simulator layer.
         metrics.set_gauge(
             "repro_sim_elapsed_cycles", now, labels,

@@ -56,7 +56,6 @@ class SimProcess:
         self.pmu = None  # PMU engine shared by all threads of this process
         self.sanitizer = None  # set by repro.sanitize when a session is active
         self.obs = None  # set by repro.obs when a session is active
-        self.sampler = None  # set by repro.sim.sampling when a session is active
 
         topo = machine.topology
         self.master = SimThread(
@@ -83,11 +82,6 @@ class SimProcess:
         obs_mod = sys.modules.get("repro.obs")
         if obs_mod is not None:
             obs_mod.maybe_attach(self)
-        # Sampled simulation rides the same seam: only processes created
-        # while a repro.sim.sampling session is active get a sampler.
-        samp_mod = sys.modules.get("repro.sim.sampling")
-        if samp_mod is not None:
-            samp_mod.maybe_attach(self)
 
     # -- modules ------------------------------------------------------------
 

@@ -41,7 +41,7 @@ class Ctx:
 
     __slots__ = (
         "process", "thread", "_aspace", "_hier", "_compute_cycle",
-        "_page_bits", "_san", "_sampler", "_access", "_hw_tid", "_node",
+        "_page_bits", "_san", "_access", "_hw_tid", "_node",
         "_page_home",
     )
 
@@ -56,9 +56,6 @@ class Ctx:
         # disabled case costs one is-None branch per access (repro.sanitize
         # never imported -> process.sanitizer is always None).
         self._san = process.sanitizer
-        # Run sampler, same pattern (repro.sim.sampling session active at
-        # process creation -> sampled simulation; otherwise always None).
-        self._sampler = process.sampler
         # Scalar access path, bound once: the hierarchy's access method,
         # the thread's placement (fixed for its lifetime) and the live
         # page table, so an already-placed page resolves with one dict
@@ -119,9 +116,6 @@ class Ctx:
         thread.clock += lat
         thread.inst_count += 1
         thread.mem_count += 1
-        sampler = self._sampler
-        if sampler is not None:
-            sampler.note_scalar()
         pmu = self.process.pmu
         if pmu is not None:
             pmu.note_mem(self.process, thread, ip, vaddr, lat, lvl, tlbm, False)
@@ -140,9 +134,6 @@ class Ctx:
         thread.clock += lat
         thread.inst_count += 1
         thread.mem_count += 1
-        sampler = self._sampler
-        if sampler is not None:
-            sampler.note_scalar()
         pmu = self.process.pmu
         if pmu is not None:
             pmu.note_mem(self.process, thread, ip, vaddr, lat, lvl, tlbm, True)
@@ -176,16 +167,6 @@ class Ctx:
         if san is not None:
             san.on_access_run(self.thread, base, count, stride, ip, is_store)
         thread = self.thread
-        sampler = self._sampler
-        if sampler is not None and not sampler.observe_run(count):
-            # Sampled-out run: charge the estimated clock cost, touch no
-            # machine state, deliver no PMU samples.  The sanitizer above
-            # still saw the run — its analysis stays exact.
-            est = sampler.estimate_skipped(count)
-            thread.clock += est
-            thread.inst_count += count
-            thread.mem_count += count
-            return est
         node = thread.numa_node
         hw_tid = thread.hw_tid
         home_of = self._aspace.home_of
@@ -242,8 +223,6 @@ class Ctx:
                     hw_tid, run_start, stride, run_count, run_home, is_store, record
                 )
 
-        if sampler is not None:
-            sampler.note_simulated(count, total)
         if record is None:
             thread.clock += total
             thread.inst_count += count

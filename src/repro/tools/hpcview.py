@@ -217,33 +217,18 @@ def cmd_topdown(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from contextlib import nullcontext
+    from repro.parallel import profile_ranks
 
-    from repro.parallel import APPS, profile_ranks
-
-    if args.sampled:
-        # Activate before the driver forks its workers: each inherits the
-        # session and derives an independent stream from its rank pid.
-        from repro.sim.sampling import sampling
-
-        session = sampling(
-            rate=args.sample_rate,
-            min_run=args.sample_min_run,
-            seed=args.sample_seed,
-        )
-    else:
-        session = nullcontext()
-    with session:
-        report = profile_ranks(
-            args.app,
-            args.ranks,
-            args.out,
-            variant=args.variant,
-            preset=args.preset,
-            jobs=args.jobs,
-            timeout=args.timeout,
-            retries=args.retries,
-        )
+    report = profile_ranks(
+        args.app,
+        args.ranks,
+        args.out,
+        variant=args.variant,
+        preset=args.preset,
+        jobs=args.jobs,
+        timeout=args.timeout,
+        retries=args.retries,
+    )
     for outcome in report.outcomes:
         status = outcome.path if outcome.ok else f"FAILED: {outcome.error}"
         print(f"  rank {outcome.rank:4d}  {outcome.elapsed_seconds:6.2f}s  "
@@ -253,26 +238,6 @@ def cmd_run(args: argparse.Namespace) -> int:
             print(f"        attempt durations: {tries}")
     print(report.summary())
     return 0 if report.ok else 1
-
-
-def cmd_fidelity(args: argparse.Namespace) -> int:
-    from repro.parallel.fidelity import measure_fidelity, render_fidelity
-
-    report = measure_fidelity(
-        args.app,
-        preset=args.preset,
-        variant=args.variant,
-        rate=args.rate,
-        min_run=args.min_run,
-        seed=args.seed,
-        top_n=args.n,
-    )
-    print(render_fidelity(report))
-    ok = report.within(args.max_metric_err, args.max_share_delta)
-    verdict = "PASS" if ok else "FAIL"
-    print(f"  bound: metric rel_err <= {args.max_metric_err} "
-          f"share delta <= {args.max_share_delta} -> {verdict}")
-    return 0 if ok else 1
 
 
 def _load_defect_module(path: str):
@@ -799,42 +764,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="per-rank wall-clock limit in seconds")
     run.add_argument("--retries", type=int, default=1,
                      help="retries per failed rank before giving up")
-    run.add_argument("--sampled", action="store_true",
-                     help="sampled simulation: simulate a deterministic "
-                          "subset of access runs and extrapolate "
-                          "(see `hpcview fidelity` for the error report)")
-    run.add_argument("--sample-rate", type=float, default=0.25,
-                     help="fraction of eligible runs simulated (default 0.25)")
-    run.add_argument("--sample-min-run", type=int, default=64,
-                     help="runs shorter than this are always simulated")
-    run.add_argument("--sample-seed", type=int, default=0x5EED,
-                     help="seed of the sampling decision stream")
     run.set_defaults(func=cmd_run)
-
-    fidelity = sub.add_parser(
-        "fidelity",
-        help="run an app full and sampled, report per-metric/per-variable "
-             "divergence, fail above the bound",
-    )
-    fidelity.add_argument("--app", required=True,
-                          help="app to measure (see repro.parallel.APPS)")
-    fidelity.add_argument("--preset", default="smoke",
-                          help="workload preset (default: smoke)")
-    fidelity.add_argument("--variant", default="original",
-                          help="app variant (default: original)")
-    fidelity.add_argument("--rate", type=float, default=0.25,
-                          help="fraction of eligible runs simulated")
-    fidelity.add_argument("--min-run", type=int, default=64,
-                          help="runs shorter than this are always simulated")
-    fidelity.add_argument("--seed", type=int, default=0x5EED,
-                          help="seed of the sampling decision stream")
-    fidelity.add_argument("-n", type=int, default=8,
-                          help="top variables to compare (default 8)")
-    fidelity.add_argument("--max-metric-err", type=float, default=0.10,
-                          help="relative-error bound per metric (default 0.10)")
-    fidelity.add_argument("--max-share-delta", type=float, default=0.02,
-                          help="per-variable share-delta bound (default 0.02)")
-    fidelity.set_defaults(func=cmd_fidelity)
 
     sanitize = sub.add_parser(
         "sanitize",

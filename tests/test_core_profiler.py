@@ -308,3 +308,34 @@ class TestLifecycle:
         assert profiler.static_map.lookup(addr) is mini.bss
         mini.process.unload_module(mini.exe)
         assert profiler.static_map.lookup(addr) is None
+
+    def test_reattach_maps_modules_changed_while_detached(self, mini):
+        from repro.pmu.sample import Sample
+        from repro.sim.loader import LoadModule
+        from repro.sim.source import SourceFile
+
+        gone = LoadModule("libgone.so")
+        gone_var = gone.add_static("gone_var", 4096, SourceFile("gone.c"), 1)
+        gone_fn = gone.add_function("gone_kernel", SourceFile("gone.c"), 10, 20)
+        mini.process.load_module(gone)
+        profiler = DataCentricProfiler(mini.process).attach()
+        thread = mini.process.master
+        mini.master_ctx()   # enter main: samples need a call stack
+        gone_ip = gone_fn.ip(12)
+        gone_addr = gone_var.address
+        sample = Sample("T", gone_ip, gone_ip, 0x10, 10, 3, False, False, 1)
+        profiler.on_sample(mini.process, thread, sample)   # memoizes the leaf
+        profiler.detach()
+
+        late = LoadModule("liblate.so")
+        late_var = late.add_static("late_var", 4096, SourceFile("late.c"), 1)
+        mini.process.load_module(late)   # loaded while detached
+        mini.process.unload_module(gone)   # unloaded while detached
+        profiler.attach()
+
+        assert profiler.static_map.n_modules == 2
+        assert profiler.static_map.lookup(mini.bss.address) is mini.bss
+        assert profiler.static_map.lookup(late_var.address) is late_var
+        assert profiler.static_map.lookup(gone_addr) is None
+        with pytest.raises(ProfileError):   # the stale leaf memo is gone
+            profiler.on_sample(mini.process, thread, sample)

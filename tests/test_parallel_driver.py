@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import time
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -83,6 +84,16 @@ class TestRegistry:
     def test_builtin_apps_resolve(self):
         for app in ("amg2006", "lulesh", "nw", "streamcluster", "sweep3d"):
             assert callable(rank_runner(app))
+
+    # amg2006 stamps its own MPI ranks; lulesh goes through single_process_rank.
+    @pytest.mark.parametrize("app", ["amg2006", "lulesh"])
+    def test_builtin_rank_db_carries_provenance(self, app):
+        # perfbench fingerprints a job's simulated cycles from this meta.
+        db = run_app_rank(app, 0, 1)
+        assert db.meta["app"] == app
+        assert int(db.meta["elapsed_cycles"]) > 0
+        cfg = import_module(f"repro.apps.{app}").rank_config("smoke", "original")
+        assert db.meta["machine"] == cfg.machine_factory().spec.name
 
     def test_rank_workers_never_import_numpy(self):
         # A forked rank worker pays for every module the simulator
