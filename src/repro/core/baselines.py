@@ -75,9 +75,14 @@ class CodeCentricProfiler:
     def on_free(self, process, thread, addr) -> None: ...
 
     def on_sample(self, process: "SimProcess", thread: "SimThread", sample: "Sample") -> None:
-        self.samples += 1
+        self.on_samples(process, thread, sample, 1)
+
+    def on_samples(
+        self, process: "SimProcess", thread: "SimThread", sample: "Sample", count: int
+    ) -> None:
+        self.samples += count
         path = unwind_keys(process, thread, sample.precise_ip or None)
-        self.cct.add_sample_at(path, sample)
+        self.cct.add_sample_at(path, sample, count)
 
     # -- the code-centric "view": source lines ranked by cost ---------------
 
@@ -158,9 +163,12 @@ class TracingProfiler:
         self.free_records += 1
 
     def on_sample(self, process, thread, sample) -> None:
-        self.sample_records += 1
+        self.on_samples(process, thread, sample, 1)
+
+    def on_samples(self, process, thread, sample, count) -> None:
+        self.sample_records += count
         if self.record_call_paths:
-            self.frame_records += len(thread.frames) + 1
+            self.frame_records += count * (len(thread.frames) + 1)
 
     def trace_bytes(self) -> int:
         """Size the binary trace would occupy."""

@@ -196,9 +196,9 @@ class CCT:
             node = node.child(key, info)
         return node
 
-    def add_sample_at(self, path: Sequence[PathEntry], sample) -> CCTNode:
+    def add_sample_at(self, path: Sequence[PathEntry], sample, count: int = 1) -> CCTNode:
         leaf = self.insert_path(path)
-        leaf.metrics.add_sample(sample)
+        leaf.metrics.add_sample(sample, count)
         return leaf
 
     def merge(self, other: "CCT") -> int:

@@ -47,16 +47,17 @@ class MetricVector:
         self.tlb_misses = 0
         self.stores = 0
 
-    def add_sample(self, sample: Sample) -> None:
-        self.samples += 1
-        self.latency += sample.latency
-        self.events += sample.period
+    def add_sample(self, sample: Sample, count: int = 1) -> None:
+        """Add ``count`` identical samples (what ``count`` single adds add)."""
+        self.samples += count
+        self.latency += sample.latency * count
+        self.events += sample.period * count
         if 0 <= sample.level < _N_LEVELS:
-            self.levels[sample.level] += 1
+            self.levels[sample.level] += count
         if sample.tlb_miss:
-            self.tlb_misses += 1
+            self.tlb_misses += count
         if sample.is_store:
-            self.stores += 1
+            self.stores += count
 
     @property
     def remote(self) -> int:

@@ -7,6 +7,7 @@ One :class:`DataCentricProfiler` attaches to one process and observes:
   against the heap and static maps, and files the sample into the
   thread's per-storage-class CCT — prepending the allocation call path
   for heap data and a variable dummy node for static data (§4.1.4);
+  a burst of identical samples (``on_samples``) is filed once;
 - allocator calls (``on_alloc``/``on_free``): maintains the heap map,
   with the three §4.1.3 overhead-reduction strategies independently
   switchable (size threshold, fast context capture, trampoline unwinds);
@@ -301,26 +302,37 @@ class DataCentricProfiler:
         return path
 
     def on_sample(self, process: "SimProcess", thread: "SimThread", sample: "Sample") -> None:
+        self.on_samples(process, thread, sample, 1)
+
+    def on_samples(
+        self, process: "SimProcess", thread: "SimThread", sample: "Sample", count: int
+    ) -> None:
+        """File ``count`` identical samples at once (an IBS compute-block burst).
+
+        Unwinds and resolves once, and adds exactly what ``count``
+        ``on_sample`` calls add: ``count`` samples on one path, ``count x``
+        each per-sample overhead charge.
+        """
         cfg = self.config
-        self.stats.samples += 1
+        self.stats.samples += count
         profile = self.profile_for(thread)
         depth = len(thread.frames)
         self._charge(
             thread,
-            cfg.sample_handler_cost + self._context_cost() + depth * UNWIND_PER_FRAME,
+            count * (cfg.sample_handler_cost + self._context_cost() + depth * UNWIND_PER_FRAME),
         )
 
         ea = sample.ea
         if ea is None:
             path = self._sample_path(process, thread, sample.precise_ip or None)
-            profile.cct(StorageClass.NONMEM).add_sample_at(path, sample)
+            profile.cct(StorageClass.NONMEM).add_sample_at(path, sample, count)
             return
 
-        self.stats.mem_samples += 1
+        self.stats.mem_samples += count
         leaf_ip = sample.precise_ip if cfg.use_precise_ip else sample.interrupt_ip
         access_path = self._sample_path(process, thread, leaf_ip)
 
-        self._charge(thread, cfg.map_lookup_cost)
+        self._charge(thread, count * cfg.map_lookup_cost)
         heap_var = self.heap_map.lookup(ea)
         if heap_var is not None:
             # Prepend the (possibly cross-thread) allocation call path,
@@ -328,16 +340,16 @@ class DataCentricProfiler:
             path: list[PathEntry] = list(heap_var.alloc_path)
             path.append((HEAP_MARKER_KEY, HEAP_MARKER_INFO))
             path.extend(access_path)
-            profile.cct(StorageClass.HEAP).add_sample_at(path, sample)
-            self.stats.heap_samples += 1
+            profile.cct(StorageClass.HEAP).add_sample_at(path, sample, count)
+            self.stats.heap_samples += count
             return
 
         static_var = self.static_map.lookup(ea)
         if static_var is not None:
             path = [static_var_entry(static_var)]
             path.extend(access_path)
-            profile.cct(StorageClass.STATIC).add_sample_at(path, sample)
-            self.stats.static_samples += 1
+            profile.cct(StorageClass.STATIC).add_sample_at(path, sample, count)
+            self.stats.static_samples += count
             return
 
         if cfg.track_stack:
@@ -345,9 +357,9 @@ class DataCentricProfiler:
             if stack_var is not None:
                 path = [stack_var_entry(stack_var)]
                 path.extend(access_path)
-                profile.cct(StorageClass.STACK).add_sample_at(path, sample)
-                self.stats.stack_samples += 1
+                profile.cct(StorageClass.STACK).add_sample_at(path, sample, count)
+                self.stats.stack_samples += count
                 return
 
-        profile.cct(StorageClass.UNKNOWN).add_sample_at(access_path, sample)
-        self.stats.unknown_samples += 1
+        profile.cct(StorageClass.UNKNOWN).add_sample_at(access_path, sample, count)
+        self.stats.unknown_samples += count

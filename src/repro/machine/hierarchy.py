@@ -11,9 +11,8 @@ contiguous/strided run of addresses in one call.  It is state- and
 result-identical to the equivalent sequence of ``access`` calls (the
 differential harness in ``tests/test_machine_bulk_access.py`` enforces
 bit-identical level counts, latencies, contention cycles and PMU sample
-streams), but hoists TLB lookups to once per page, short-circuits
-repeated same-line L1 hits, and accumulates counters in locals flushed
-once per run.
+streams): it makes one ``access`` call per cache line and credits the
+same-line repeats that follow it arithmetically, in one pass per run.
 
 A per-core stream prefetcher hides DRAM *latency* (not controller
 traffic) for unit-stride misses: sequential streams are served at near-L3
@@ -307,17 +306,15 @@ class MemoryHierarchy:
 
         Equivalent — same final machine state, same per-access results —
         to ``count`` sequential :meth:`access` calls with the same
-        arguments, but pays the Python dispatch cost once per *run*:
-        topology/latency lookups are hoisted out of the loop, the TLB is
-        consulted once per page instead of once per access, repeated
-        same-line L1 hits short-circuit the cache probe entirely, and the
-        hit/level counters accumulate in locals flushed once at the end.
+        arguments.  Each cache line the run touches costs one fused
+        :meth:`access` call; the accesses that follow it on the same line
+        are closed-form (see below) and credited in one pass at the end.
+        A stride of a line or more touches a new line every access, so
+        such a run is a plain loop of :meth:`access` calls.
 
         All addresses in the run must live on the same home NUMA node;
         callers that can't guarantee that (pages may differ) split the run
         at page boundaries — :meth:`repro.sim.runtime.Ctx.load_run` does.
-        DRAM accesses still go through the contention model one by one
-        (its window accounting is stateful and order-sensitive).
 
         Returns the total latency in cycles.  When ``record`` is a list,
         one ``(latency, level, tlb_miss)`` tuple is appended per access in
@@ -325,173 +322,60 @@ class MemoryHierarchy:
         delivery).  Equivalence is enforced by the differential harness in
         ``tests/test_machine_bulk_access.py``.
         """
-        if count <= 0:
-            return 0
-        if count == 1:
-            # A one-access run can't amortize the hoisting prologue below
-            # (page-stride callers hit this constantly): take the scalar
-            # path, which is definitionally equivalent.
-            result = self.access(hw_tid, base_vaddr, home_node, is_store)
-            if record is not None:
-                record.append(result)
-            return result[0]
-
-        lat = self.latency
-        core = self._core_of[hw_tid]
-        socket = self._socket_of[hw_tid]
-        l1 = self.l1[core]
-        l2 = self.l2[core]
-        l3 = self.l3[socket]
-        tlb = self.tlb[core]
+        access = self.access
         line_bits = self.line_bits
-        page_bits = self.page_bits
-        lat_l1 = lat.l1
-        lat_l2 = lat.l2
-        lat_l3 = lat.l3
-        tlb_walk = lat.tlb_walk
-        store_extra = lat.store_extra if is_store else 0
-        my_node = self._numa_of[hw_tid]
-        remote = home_node != my_node
-        dram_hops = self.topology.hops(my_node, home_node)
-        dram_lat = lat.dram(dram_hops)
-        dram_level = LVL_RMEM if remote else LVL_LMEM
-        dram_access = self.contention.dram_access
-        l1_access = l1.access
-        l1_install = l1.install
-        l2_access = l2.access
-        l2_install = l2.install
-        l3_access = l3.access
-        l3_install = l3.install
-        tlb_access = tlb.access
-        prefetch_on = self.prefetch_enabled
-        streams = self._streams[core]
-        rr = self._stream_rr[core]
-        rec = record.append if record is not None else None
-
-        if is_store:
-            self.store_count += count
-        else:
-            self.load_count += count
-
         total = 0
-        n1 = n2 = n3 = nd = 0  # accesses served by L1/L2/L3/DRAM
-        pf_hits = 0
-        tlb_repeats = 0  # TLB lookups skipped (page unchanged since last access)
-        l1_repeats = 0  # L1 lookups skipped (line unchanged since last access)
-        # The repeat-skip sentinel must not collide with any real page
-        # number: page -1 is reachable (negative addresses under negative
-        # strides), and an integer sentinel of -1 silently converted the
-        # first TLB walk of such a run into a repeat hit.  Pinned by
-        # tests/test_machine_bulk_access.py::TestDegenerateStrides.
-        cur_page: int | None = None
         vaddr = base_vaddr
+        if stride >= 1 << line_bits or -stride >= 1 << line_bits:
+            for _ in range(count):
+                result = access(hw_tid, vaddr, home_node, is_store)
+                total += result[0]
+                if record is not None:
+                    record.append(result)
+                vaddr += stride
+            return total
+
+        # Same-line repeats are closed-form: whatever served the line's
+        # first access left the line resident and MRU in L1 and its page
+        # resident and MRU in the TLB, so every later access on that line
+        # is a TLB hit plus an L1 hit that changes no tag list.
+        lat_l1 = self.latency.l1
+        l1_hit = (lat_l1, LVL_L1, False)
+        line_mask = (1 << line_bits) - 1
+        repeats = 0
         i = 0
         while i < count:
-            # Probe the first access touching this cache line in full.
-            line = vaddr >> line_bits
-            page = vaddr >> page_bits
-            if page == cur_page:
-                # Page unchanged and nothing else touched this core's TLB
-                # mid-run: a guaranteed hit on the scalar path.
-                tlb_repeats += 1
-                cycles = 0
-                tlb_miss = False
-            elif tlb_access(page):
-                cur_page = page
-                cycles = 0
-                tlb_miss = False
-            else:
-                cur_page = page
-                cycles = tlb_walk
-                tlb_miss = True
-
-            if l1_access(line):
-                n1 += 1
-                cycles += lat_l1
-                level = LVL_L1
-            else:
-                cycles += store_extra
-                prefetched = False
-                if prefetch_on:
-                    for s in range(_STREAMS_PER_CORE):
-                        if streams[s] == line:
-                            prefetched = True
-                            streams[s] = line + 1
-                            break
-                    else:
-                        streams[rr] = line + 1
-                        rr = (rr + 1) % _STREAMS_PER_CORE
-                if l2_access(line):
-                    l1_install(line)
-                    n2 += 1
-                    cycles += lat_l2
-                    level = LVL_L2
-                elif l3_access(line):
-                    l1_install(line)
-                    l2_install(line)
-                    n3 += 1
-                    cycles += lat_l3
-                    level = LVL_L3
-                else:
-                    queue = dram_access(home_node, hw_tid)
-                    nd += 1
-                    if prefetched:
-                        pf_hits += 1
-                        cycles += lat_l3 + queue
-                    else:
-                        cycles += dram_lat + queue
-                    l1_install(line)
-                    l2_install(line)
-                    l3_install(line)
-                    level = dram_level
-            total += cycles
-            if rec is not None:
-                rec((cycles, level, tlb_miss))
-            i += 1
-            vaddr += stride
-
-            # Short-circuit every subsequent access that stays on this
-            # line: the probe left the line resident and MRU in L1 and
-            # its page resident and MRU in the TLB, so each one is
-            # exactly a TLB hit + L1 hit on the scalar path with no
-            # state change — count them arithmetically instead of
-            # looping.
+            result = access(hw_tid, vaddr, home_node, is_store)
+            total += result[0]
+            if record is not None:
+                record.append(result)
+            # The accesses after this one that stay on its line.
             if stride > 0:
-                k = (((line + 1) << line_bits) - vaddr + stride - 1) // stride
+                k = (line_mask - (vaddr & line_mask)) // stride
             elif stride < 0:
-                k = (vaddr - (line << line_bits)) // -stride + 1
-                if vaddr < (line << line_bits):
-                    k = 0
+                k = (vaddr & line_mask) // -stride
             else:
-                k = count - i
+                k = count
+            i += 1
             if k > count - i:
                 k = count - i
-            if k > 0:
-                tlb_repeats += k
-                l1_repeats += k
-                n1 += k
-                total += k * lat_l1
-                if rec is not None:
-                    record.extend([(lat_l1, LVL_L1, False)] * k)
+            if k:
+                repeats += k
                 i += k
-                vaddr += k * stride
+                if record is not None:
+                    record.extend([l1_hit] * k)
+            vaddr = base_vaddr + i * stride
 
-        # Flush the locally-accumulated counters in one pass.
-        self._stream_rr[core] = rr
-        lc = self.level_counts
-        lc[LVL_L1] += n1
-        lc[LVL_L2] += n2
-        lc[LVL_L3] += n3
-        if nd:
-            lc[dram_level] += nd
-            self.hop_counts[dram_hops] += nd
-            self.memmgr.note_dram_accesses(home_node, remote, nd)
-        if pf_hits:
-            self.prefetch_hits += pf_hits
-        if tlb_repeats:
-            tlb.note_repeat_hits(tlb_repeats)
-        if l1_repeats:
-            l1.note_repeat_hits(l1_repeats)
+        if repeats:
+            total += repeats * lat_l1
+            if is_store:
+                self.store_count += repeats
+            else:
+                self.load_count += repeats
+            self.level_counts[LVL_L1] += repeats
+            core = self._core_of[hw_tid]
+            self.tlb[core].note_repeat_hits(repeats)
+            self.l1[core].note_repeat_hits(repeats)
         return total
 
     # -- conveniences -----------------------------------------------------

@@ -97,6 +97,11 @@ class ObsAgent:
 
     # -- optional hook protocol ---------------------------------------------
 
+    def on_samples(
+        self, process: "SimProcess", thread: "SimThread", sample, count: int
+    ) -> None:
+        self.samples_seen += count
+
     def on_parallel_begin(self, process: "SimProcess", n_threads: int) -> None:
         self._region_stack.append((process.master.clock, n_threads))
 

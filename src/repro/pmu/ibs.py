@@ -7,6 +7,11 @@ precise IP, effective address, measured latency, and data source; if
 not, a non-memory sample is delivered (HPCToolkit keeps a separate CCT
 for those, §4.1.2).  Periods are jittered to avoid lockstep aliasing
 with loop structure.
+
+A compute block that crosses k periods yields k identical non-memory
+samples; they reach each hook as one burst through the optional
+``on_samples(process, thread, sample, count)`` method, or as k
+``on_sample`` calls for a hook without it.
 """
 
 from __future__ import annotations
@@ -76,19 +81,27 @@ class IBSEngine:
         # fire one sample per period crossed and carry the remainder, so a
         # large compute block neither swallows the countdown (starving the
         # interleaved memory ops) nor under-reports non-memory samples.
-        remaining = n
         countdown = thread.pmu_countdown
         if countdown <= 0:
             countdown = self._next_countdown()
-        while remaining >= countdown:
-            remaining -= countdown
-            self._deliver_nonmem(process, thread)
-            countdown = thread.pmu_countdown
-        thread.pmu_countdown = countdown - remaining
+        if n < countdown:
+            thread.pmu_countdown = countdown - n
+            return
+        # Draw every period the block crosses first (the same draws, in
+        # the same order, as delivering one sample per period), then hand
+        # the identical samples to each hook as one burst.
+        count = 0
+        while n >= countdown:
+            n -= countdown
+            count += 1
+            countdown = self._next_countdown()
+        thread.pmu_countdown = countdown - n
+        self.samples_taken += count
+        self._deliver_nonmem(process, thread, count)
 
-    def _deliver_nonmem(self, process: "SimProcess", thread: "SimThread") -> None:
-        thread.pmu_countdown = self._next_countdown()
-        self.samples_taken += 1
+    def _deliver_nonmem(
+        self, process: "SimProcess", thread: "SimThread", count: int
+    ) -> None:
         # Non-memory instruction sampled: no EA, no latency; the profiler
         # files it in the "no memory access" CCT.  The IP is the current
         # function's entry (its first line's first slot, ``text_base``).
@@ -96,4 +109,11 @@ class IBSEngine:
         ip = frames[-1].function.text_base if frames else 0
         sample = Sample(IBS_EVENT, ip, ip, None, 0, -1, False, False, self.period)
         for hook in process.hooks:
-            hook.on_sample(process, thread, sample)
+            # Optional burst hook: ``count`` identical samples in one call.
+            # A hook without it sees ``count`` plain ``on_sample`` calls.
+            on_samples = getattr(hook, "on_samples", None)
+            if on_samples is not None:
+                on_samples(process, thread, sample, count)
+            else:
+                for _ in range(count):
+                    hook.on_sample(process, thread, sample)

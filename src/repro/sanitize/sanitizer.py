@@ -373,3 +373,6 @@ class Sanitizer:
 
     def on_sample(self, process, thread, sample) -> None:
         pass
+
+    def on_samples(self, process, thread, sample, count) -> None:
+        pass

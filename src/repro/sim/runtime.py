@@ -151,8 +151,9 @@ class Ctx:
         Equivalent to ``count`` scalar :meth:`load_ip` calls — same level
         counts, latencies, contention charges and PMU sample stream
         (enforced by ``tests/test_machine_bulk_access.py``) — but pays
-        the per-access Python overhead once per *page* instead of once
-        per access.  Returns the run's total latency in cycles.
+        the per-access Python overhead once per cache line, and the
+        page-home lookup once per page, instead of once per access.
+        Returns the run's total latency in cycles.
         """
         return self._access_run(base, count, stride, ip, False)
 

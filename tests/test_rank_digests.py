@@ -6,9 +6,11 @@ model, first-touch lookup, PMU delivery, sample attribution) must leave
 every simulated bit alone, so these values only change when a change
 means to change what a rank measures — and then this table says so.
 
-Two sets: rank 0 of 2 at the smoke preset for all five apps, and the
-two IBS apps at 1/32 of their smoke sampling period (dense sampling,
-where PMU delivery and sample attribution dominate).
+Three sets: rank 0 of 2 at the smoke preset for all five apps, the two
+IBS apps at 1/32 of their smoke sampling period (dense sampling, where
+PMU delivery and sample attribution dominate), and lulesh at 1/32 of its
+paper period — the rank the ``dense-sampling`` benchmark workload runs,
+where most samples reach the profiler as IBS compute-block bursts.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ DENSE_SMOKE = {
     "sweep3d": (3, "712ec9528ed4"),
 }
 
+# app -> (PMU period: the paper preset's // 32, digest)
+DENSE_PAPER = {
+    "lulesh": (8, "b14c04419d85"),
+}
+
 
 def _digest(db) -> str:
     return hashlib.sha256(db.canonical_bytes()).hexdigest()[:12]
@@ -52,4 +59,14 @@ def test_dense_sampling_rank_digest(app):
     cfg = module.rank_config("smoke", "original")
     assert cfg.pmu_period // 32 == period
     db = module.run_rank(0, 2, "original", "smoke", cfg=replace(cfg, pmu_period=period))
+    assert _digest(db) == digest
+
+
+@pytest.mark.parametrize("app", sorted(DENSE_PAPER))
+def test_dense_sampling_paper_rank_digest(app):
+    period, digest = DENSE_PAPER[app]
+    module = import_module(f"repro.apps.{app}")
+    cfg = module.rank_config("paper", "original")
+    assert cfg.pmu_period // 32 == period
+    db = module.run_rank(0, 2, "original", "paper", cfg=replace(cfg, pmu_period=period))
     assert _digest(db) == digest
