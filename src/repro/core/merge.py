@@ -8,12 +8,14 @@ node keys.
 
 ``merge_profiles`` is a streaming fold: it draws one input at a time
 from any iterable, so a caller that decodes lazily (the serve store's
-compaction) keeps about one input alive however many it folds.
-``reduction_tree_merge`` mirrors HPCToolkit's MPI reduction-tree
-parallelization: profiles are merged pairwise in ``ceil(log2 n)`` rounds;
-the returned :class:`MergeStats` reports both total work (node visits,
-linear in profile count) and the critical-path work of the parallel
-reduction — the quantities behind the paper's scalability claim.
+compaction, :func:`repro.parallel.merge.merge_rpdb_files` behind
+``hpcview merge``) keeps about one input alive however many it folds.
+``reduction_tree_merge`` models HPCToolkit's MPI reduction-tree
+parallelization in one process: profiles are merged pairwise in
+``ceil(log2 n)`` rounds; the returned :class:`MergeStats` reports both
+total work (node visits, linear in profile count) and the critical-path
+work of the parallel reduction — the quantities behind the paper's
+scalability claim.
 """
 
 from __future__ import annotations
@@ -141,8 +143,8 @@ def reduction_tree_merge(
 
     Caller-supplied databases are never mutated: the leaf collapse deep-
     copies each input, and subsequent rounds merge into those internal
-    copies only.  :mod:`repro.parallel.merge` executes this same schedule
-    for real on a process pool.
+    copies only.  The schedule is a model: every round runs in this one
+    process, and :func:`merge_profiles` gives the same canonical bytes.
     """
     if not dbs:
         raise ProfileError("nothing to merge")

@@ -21,7 +21,7 @@ hold no reference cycles) and restored to the caller's state afterwards;
 this module is the one place in ``repro`` that changes collector state.
 
 Format version 2 adds a small string-keyed metadata section to the
-header (used by the parallel merge to report partial results); version 1
+header (used by the rank-file merge to report partial results); version 1
 payloads (no metadata) still decode.
 """
 

@@ -2,7 +2,7 @@
 
 Opt-in observability across the whole stack — simulator phases and
 parallel regions, MPI ranks, malloc lifetimes (sim-time domain), the
-multiprocess driver, pool merge and profile codec (wall-clock domain) —
+multiprocess driver, rank-file merge and profile codec (wall-clock domain) —
 plus a labelled metrics registry every subsystem folds its end-of-run
 counters into.  Traces load directly in https://ui.perfetto.dev or
 ``chrome://tracing``; metrics export as JSON or Prometheus text.

@@ -12,8 +12,8 @@ Two clock *domains* exist in a trace (see DESIGN.md "Observability"):
 * **sim-time** — simulated cycles converted to microseconds via the
   machine's clock rate.  These never come from this module; the
   scheduler owns them and they are deterministic already.
-* **wall-clock** — host time for the parallel driver, pool merge and
-  codec spans.  These come from a :class:`Clock` instance.
+* **wall-clock** — host time for the parallel driver, rank-file merge
+  and codec spans.  These come from a :class:`Clock` instance.
 """
 
 from __future__ import annotations

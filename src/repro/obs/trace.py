@@ -31,8 +31,8 @@ class TraceWriter:
 
     Emission is thread-safe: the bound check, the append and the drop
     counter update happen under one lock, so concurrent emitters (the
-    ingest service's client handlers, pool-merge callbacks) can never
-    overshoot ``max_events`` or lose a drop from the count.
+    ingest service's client handlers) can never overshoot
+    ``max_events`` or lose a drop from the count.
     """
 
     def __init__(self, max_events: int = DEFAULT_MAX_EVENTS) -> None:

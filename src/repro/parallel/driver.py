@@ -10,8 +10,9 @@ so a retried or re-run rank produces byte-identical output.
 Failure handling: workers that crash or exceed ``timeout`` are detected
 by the parent, retried a bounded number of times, and then reported as
 failed ranks — the driver never hangs and never raises for a subset of
-bad ranks; callers see the degradation in :class:`DriverReport` and the
-downstream merge records it as a partial merge.
+bad ranks; callers see the degradation in :class:`DriverReport`, and
+:func:`repro.parallel.merge.merge_rpdb_files` lists the ranks with no
+``.rpdb`` in the merged DB's ``missing_ranks`` and marks it partial.
 
 Output files are written atomically (``.tmp`` + ``os.replace``) so a
 killed worker can never leave a torn ``.rpdb`` behind; a failing worker

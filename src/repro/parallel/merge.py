@@ -1,465 +1,135 @@
-"""Reduction-tree profile merge executed for real on a process pool.
+"""Post-mortem merge of a measurement directory's rank files.
 
-:func:`repro.core.merge.reduction_tree_merge` *models* the paper's §4.2
-parallel reduction (it computes the schedule and its critical-path cost
-inside one process).  :func:`parallel_reduction_merge` executes the same
-schedule with actual parallelism: each round's pairwise merges are
-dispatched concurrently onto a :class:`~concurrent.futures.ProcessPoolExecutor`,
-and profiles cross process boundaries as binary-codec bytes (the compact
-``.rpdb`` wire format, so IPC cost stays proportional to profile size,
-not Python object graphs).
+:func:`merge_rpdb_files` is the merge behind ``hpcview merge`` and the
+``hpcview trace``/``metrics`` pipeline.  It is a streaming fold: a
+generator reads and decodes one ``.rpdb`` file at a time into
+:func:`repro.core.merge.merge_profiles`, so about one decoded rank is
+alive however many files it merges.  The output is the sequential merge
+(:func:`~repro.core.merge.reduction_tree_merge` models the paper's §4.2
+reduction tree over the same inputs; both give the same canonical
+bytes).
 
-To keep IPC minimal the leaf collapse (round 0) is fused into each
-round-1 task: a worker receives up to ``arity`` raw rank blobs, decodes
-and collapses them locally, chain-merges the group, and ships back one
-intermediate blob.  Per-step node-visit counts ride along so the parent
-reconstructs a :class:`~repro.core.merge.MergeStats` with the same shape
-(``per_round_visits``, ``critical_path_visits``) as the modelled merge.
-
-Degradation semantics: corrupt input blobs are dropped (never crash a
-round); crashed pool workers are retried on a fresh pool a bounded
-number of times, then the affected groups are merged in the parent; a
-group that fails even there is dropped.  Any drop marks the output DB's
-``meta`` with ``partial=true`` plus the dropped labels — a clean run
-leaves ``meta`` empty so its canonical bytes match the sequential
-:func:`~repro.core.merge.merge_profiles` result exactly.
+Degradation semantics: a file that cannot be read or decoded is dropped
+and reported as ``(path, reason)``, never crashing the merge.  The
+merged DB keeps the consensus ``meta`` of the inputs it merged, and
+when the merge is partial it also says what is missing: ``dropped`` and
+``dropped_count`` name the dropped files, ``missing_ranks`` the ranks
+that no merged rank file supplied (a driver rank that failed leaves no
+``.rpdb`` at all), and ``partial=true`` flags either.  A clean merge
+adds nothing, so its bytes equal the sequential merge's exactly.
 """
 
 from __future__ import annotations
 
-import os
-import sys
-import time
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from multiprocessing import get_all_start_methods, get_context
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from repro.core.merge import (
-    MergeStats,
-    _collapse_db,
-    consensus_meta,
-    merge_thread_profiles,
-)
+from repro.core.merge import merge_profiles
 from repro.core.profiledb import ProfileDB
-from repro.errors import ConfigError, ProfileError
+from repro.errors import ProfileError
+from repro.parallel.driver import _obs_session
 
-__all__ = ["ParallelMergeReport", "merge_rpdb_files", "parallel_reduction_merge"]
-
-
-@dataclass
-class ParallelMergeReport:
-    """How the parallel merge actually executed (vs. the modelled schedule)."""
-
-    n_inputs: int
-    jobs: int
-    arity: int
-    rounds: int = 0
-    tasks_dispatched: int = 0      # tasks run on the pool
-    pool_restarts: int = 0         # times the pool died and was rebuilt
-    parent_fallbacks: int = 0      # tasks that ended up running in-parent
-    dropped: list[tuple[str, str]] = field(default_factory=list)  # (label, why)
-    elapsed_seconds: float = 0.0
-
-    @property
-    def partial(self) -> bool:
-        return bool(self.dropped)
-
-    def summary(self) -> str:
-        status = "ok" if not self.partial else (
-            f"PARTIAL ({len(self.dropped)} input(s) dropped)"
-        )
-        return (
-            f"merged {self.n_inputs} profile(s) in {self.rounds} round(s) "
-            f"({self.tasks_dispatched} pool task(s), {self.jobs} worker(s), "
-            f"arity {self.arity}) in {self.elapsed_seconds:.2f}s — {status}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# Worker side
-
-
-def _merge_group(
-    blobs: Sequence[bytes], labels: Sequence[str], collapse: bool
-) -> tuple[bytes | None, list[int], int, int, int, list[tuple[str, str]]]:
-    """Merge one group of serialized profiles inside a pool worker.
-
-    Returns ``(out_blob, leaf_visits, merge_visits, pairwise_merges,
-    profiles_in, dropped)``.  ``leaf_visits`` has one entry per
-    successfully decoded input when ``collapse`` is true (the round-0
-    cost the parent folds into the critical path); ``merge_visits`` is
-    the within-group chain-merge cost (this round's contribution).
-    """
-    stats = MergeStats()
-    dropped: list[tuple[str, str]] = []
-    work = []  # collapsed/decoded ThreadProfiles, group order preserved
-    decoded: list[ProfileDB] = []  # for consensus-meta propagation
-    leaf_visits: list[int] = []
-    profiles_in = 0
-    for blob, label in zip(blobs, labels):
-        try:
-            db = ProfileDB.from_bytes(blob)
-        except ProfileError as exc:
-            dropped.append((label, str(exc)))
-            continue
-        decoded.append(db)
-        profiles_in += len(db.threads)
-        if collapse:
-            before = stats.node_visits
-            work.append(_collapse_db(db, stats))
-            leaf_visits.append(stats.node_visits - before)
-        else:
-            # Intermediate DBs carry exactly one already-collapsed profile;
-            # decoding gave us a private copy we may merge into freely.
-            work.extend(db.all_profiles())
-    if not work:
-        return None, leaf_visits, 0, stats.pairwise_merges, profiles_in, dropped
-
-    before = stats.node_visits
-    target = work[0]
-    for source in work[1:]:
-        merge_thread_profiles(target, source, stats)
-    merge_visits = stats.node_visits - before
-
-    out = ProfileDB("merge-intermediate")
-    out.add_thread(target)
-    # Same consensus-meta rule as the in-process merge: intersection is
-    # schedule-independent, preserving byte-identity across schedules.
-    out.meta.update(consensus_meta(decoded))
-    return (
-        out.to_bytes(),
-        leaf_visits,
-        merge_visits,
-        stats.pairwise_merges,
-        profiles_in,
-        dropped,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Parent side
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except (AttributeError, OSError):
-        return os.cpu_count() or 1
-
-
-def _obs_session():
-    """The active repro.obs session, if that subsystem is even imported."""
-    obs_mod = sys.modules.get("repro.obs")
-    return obs_mod.active_session() if obs_mod is not None else None
-
-
-class _PoolRunner:
-    """Process pool with crash detection, bounded retry, and in-parent
-    fallback — a dead worker degrades throughput, never correctness."""
-
-    def __init__(self, ctx, jobs: int, retries: int, timeout: float,
-                 report: ParallelMergeReport):
-        self._ctx = ctx
-        self._jobs = jobs
-        self._retries = retries
-        self._timeout = timeout
-        self._report = report
-        self._executor: ProcessPoolExecutor | None = None
-
-    def _pool(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self._jobs, mp_context=self._ctx
-            )
-        return self._executor
-
-    def _kill_pool(self) -> None:
-        executor = self._executor
-        self._executor = None
-        if executor is None:
-            return
-        # Best effort: stop feeding work, then make sure no worker (e.g.
-        # one stuck past the round deadline) outlives us.
-        executor.shutdown(wait=False, cancel_futures=True)
-        for process in getattr(executor, "_processes", {}).values():
-            if process.is_alive():
-                process.terminate()
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True, cancel_futures=True)
-            self._executor = None
-
-    def run_round(self, tasks: list[tuple]) -> list[tuple | None]:
-        """Run one round's tasks concurrently; every slot gets a result
-        or None (only when even the in-parent fallback failed)."""
-        results: list[tuple | None] = [None] * len(tasks)
-        remaining = sorted(range(len(tasks)))
-        for attempt in range(self._retries + 1):
-            if not remaining:
-                return results
-            if attempt:
-                self._report.pool_restarts += 1
-            try:
-                pool = self._pool()
-                futures = {
-                    i: pool.submit(_merge_group, *tasks[i]) for i in remaining
-                }
-            except (OSError, RuntimeError):
-                self._kill_pool()
-                continue
-            self._report.tasks_dispatched += len(futures)
-            deadline = time.monotonic() + self._timeout
-            broken = False
-            still_remaining = []
-            for i, future in futures.items():
-                if broken:
-                    still_remaining.append(i)
-                    continue
-                try:
-                    results[i] = future.result(
-                        timeout=max(0.0, deadline - time.monotonic())
-                    )
-                except (BrokenProcessPool, FuturesTimeout, OSError):
-                    # Pool died under us or a worker wedged: rebuild and
-                    # retry everything still unfinished.
-                    still_remaining.append(i)
-                    broken = True
-                except Exception:
-                    still_remaining.append(i)
-            if broken:
-                self._kill_pool()
-            remaining = still_remaining
-        for i in remaining:
-            self._report.parent_fallbacks += 1
-            try:
-                results[i] = _merge_group(*tasks[i])
-            except Exception:
-                results[i] = None
-        return results
-
-
-def _grouped(items: list, arity: int) -> list[list]:
-    return [items[i : i + arity] for i in range(0, len(items), arity)]
-
-
-def _mark_partial(db: ProfileDB, dropped: list[tuple[str, str]]) -> None:
-    if not dropped:
-        return
-    db.meta["partial"] = "true"
-    db.meta["dropped_count"] = str(len(dropped))
-    db.meta["dropped"] = ";".join(label for label, _ in dropped)
-
-
-def parallel_reduction_merge(
-    blobs: Sequence[bytes],
-    name: str = "job",
-    *,
-    labels: Sequence[str] | None = None,
-    arity: int = 2,
-    jobs: int | None = None,
-    retries: int = 1,
-    round_timeout: float = 300.0,
-    start_method: str | None = None,
-) -> tuple[ProfileDB, MergeStats, ParallelMergeReport]:
-    """Merge serialized ProfileDBs with a real process-pool reduction tree.
-
-    Executes exactly the schedule :func:`reduction_tree_merge` models: a
-    fused leaf-collapse+round-1 task per input group, then one task per
-    multi-member group per round.  On a clean run the output's canonical
-    bytes equal the sequential merge's and the returned
-    :class:`MergeStats` matches the modelled one; degraded runs (corrupt
-    blobs, dead workers) produce a partial merge flagged in ``db.meta``
-    and itemized in the report.
-    """
-    if not blobs:
-        raise ProfileError("nothing to merge")
-    if arity < 2:
-        raise ProfileError("reduction arity must be >= 2")
-    if labels is None:
-        labels = [f"input[{i}]" for i in range(len(blobs))]
-    elif len(labels) != len(blobs):
-        raise ConfigError("labels must match blobs one-to-one")
-    if jobs is None:
-        jobs = min(len(blobs), _available_cpus())
-    if jobs < 1:
-        raise ConfigError("jobs must be >= 1")
-    if start_method is None:
-        start_method = "fork" if "fork" in get_all_start_methods() else "spawn"
-
-    obs = _obs_session()
-    obs_t0 = obs.clock.now_us() if obs is not None else 0.0
-    t0 = time.monotonic()
-    stats = MergeStats()
-    report = ParallelMergeReport(n_inputs=len(blobs), jobs=jobs, arity=arity)
-    runner = _PoolRunner(
-        get_context(start_method), jobs, retries, round_timeout, report
-    )
-
-    def timed_round(label: str, tasks: list[tuple]) -> list[tuple | None]:
-        if obs is None:
-            return runner.run_round(tasks)
-        start = obs.clock.now_us()
-        try:
-            return runner.run_round(tasks)
-        finally:
-            obs.trace.complete(
-                name=label, cat="merge", ts_us=start,
-                dur_us=obs.clock.now_us() - start,
-                pid=0, tid=2, args={"tasks": len(tasks)},
-            )
-
-    try:
-        # Round 0+1 fused: collapse each input's threads and chain-merge
-        # the group, one pool task per group of `arity` raw inputs.
-        groups = _grouped(list(zip(blobs, labels)), arity)
-        tasks = [
-            ([blob for blob, _ in group], [label for _, label in group], True)
-            for group in groups
-        ]
-        results = timed_round(f"merge-round1[{len(tasks)}]", tasks)
-
-        leaf_all: list[int] = []
-        round_visits: list[int] = []
-        work: list[tuple[bytes, str]] = []  # (intermediate blob, label)
-        for group_i, (task, result) in enumerate(zip(tasks, results)):
-            if result is None:
-                for label in task[1]:
-                    report.dropped.append((label, "merge worker group failed"))
-                continue
-            blob, leaf_visits, merge_visits, pairwise, profiles_in, dropped = result
-            report.dropped.extend(dropped)
-            leaf_all.extend(leaf_visits)
-            stats.pairwise_merges += pairwise
-            stats.profiles_in += profiles_in
-            round_visits.append(merge_visits)
-            if blob is not None:
-                work.append((blob, f"round1:group{group_i}"))
-
-        stats.node_visits = sum(leaf_all) + sum(round_visits)
-        stats.per_round_visits.append(sum(leaf_all))
-        stats.critical_path_visits += max(leaf_all, default=0)
-        if len(blobs) > 1:
-            stats.rounds += 1
-            stats.per_round_visits.append(sum(round_visits))
-            stats.critical_path_visits += max(round_visits, default=0)
-
-        # Subsequent rounds: pairwise-merge the intermediates.  Singleton
-        # groups ride forward without a task (cost 0), like the model.
-        round_i = 1
-        while len(work) > 1:
-            round_i += 1
-            groups = _grouped(work, arity)
-            multi = [g for g in groups if len(g) > 1]
-            tasks = [
-                ([blob for blob, _ in group], [label for _, label in group], False)
-                for group in multi
-            ]
-            results = timed_round(f"merge-round{round_i}[{len(tasks)}]", tasks)
-
-            round_visits = [0] * len(groups)
-            next_work: list[tuple[bytes, str]] = []
-            result_iter = iter(results)
-            for group_i, group in enumerate(groups):
-                if len(group) == 1:
-                    next_work.append(group[0])
-                    continue
-                result = next(result_iter)
-                if result is None:
-                    for _, label in group:
-                        report.dropped.append((label, "merge worker group failed"))
-                    continue
-                blob, _leaf, merge_visits, pairwise, _n, dropped = result
-                report.dropped.extend(dropped)
-                stats.pairwise_merges += pairwise
-                round_visits[group_i] = merge_visits
-                if blob is not None:
-                    next_work.append((blob, f"round{round_i}:group{group_i}"))
-            stats.rounds += 1
-            stats.node_visits += sum(round_visits)
-            stats.per_round_visits.append(sum(round_visits))
-            stats.critical_path_visits += max(round_visits, default=0)
-            work = next_work
-    finally:
-        runner.close()
-
-    if not work:
-        raise ProfileError(
-            "nothing to merge: every input was dropped "
-            f"({len(report.dropped)} failure(s))"
-        )
-
-    final_db = ProfileDB.from_bytes(work[0][0])
-    (merged,) = final_db.all_profiles()
-    merged.thread_name = f"{name}.merged"
-    out = ProfileDB(name)
-    out.add_thread(merged)
-    out.meta.update(final_db.meta)  # consensus meta from the reduction
-    _mark_partial(out, report.dropped)
-    report.rounds = stats.rounds
-    report.elapsed_seconds = time.monotonic() - t0
-    if obs is not None:
-        obs.trace.complete(
-            name=f"parallel_reduction_merge:{name}",
-            cat="merge",
-            ts_us=obs_t0,
-            dur_us=obs.clock.now_us() - obs_t0,
-            pid=0,
-            tid=2,
-            args={"inputs": len(blobs), "arity": arity, "jobs": jobs},
-        )
-        metrics = obs.metrics
-        labels_m = {"job": name}
-        for metric, value, help_text in (
-            ("repro_merge_inputs", report.n_inputs, "profiles fed to the merge"),
-            ("repro_merge_fanin", arity, "reduction-tree arity"),
-            ("repro_merge_rounds", report.rounds, "reduction rounds executed"),
-            ("repro_merge_tasks", report.tasks_dispatched,
-             "tasks dispatched to the pool"),
-            ("repro_merge_pool_restarts", report.pool_restarts,
-             "pool rebuilds after worker death"),
-            ("repro_merge_parent_fallbacks", report.parent_fallbacks,
-             "tasks that ran in the parent"),
-            ("repro_merge_dropped", len(report.dropped),
-             "inputs dropped from the merge"),
-            ("repro_merge_seconds", report.elapsed_seconds,
-             "wall time of the whole merge"),
-        ):
-            metrics.set_gauge(metric, value, labels_m, help_text=help_text)
-    return out, stats, report
+__all__ = ["merge_rpdb_files"]
 
 
 def merge_rpdb_files(
-    paths: Sequence[str | Path],
-    name: str = "job",
-    **kwargs,
-) -> tuple[ProfileDB, MergeStats, ParallelMergeReport]:
-    """Merge on-disk ``.rpdb`` files (a measurement directory's ranks).
+    paths: Sequence[str | Path], name: str = "job"
+) -> tuple[ProfileDB, list[tuple[str, str]]]:
+    """Merge on-disk ``.rpdb`` files into one job DB.
 
-    Unreadable files are dropped up front and reported exactly like
-    corrupt blobs, so a partially-failed profiling run still merges.
+    Returns ``(db, dropped)``, where ``dropped`` lists each file that
+    could not be read or decoded with the reason.  Raises
+    :class:`ProfileError` when no file could be merged.
     """
-    blobs: list[bytes] = []
-    labels: list[str] = []
-    unreadable: list[tuple[str, str]] = []
-    for path in paths:
-        try:
-            blobs.append(Path(path).read_bytes())
-            labels.append(str(path))
-        except OSError as exc:
-            unreadable.append((str(path), f"unreadable: {exc}"))
-    if not blobs:
+    obs = _obs_session()
+    if obs is None:
+        return _fold_files(paths, name)
+    from repro.obs import WALL_TID_MERGE
+
+    start = obs.clock.now_us()
+    with obs.wall_span(
+        f"merge_rpdb_files:{name}", cat="merge", tid=WALL_TID_MERGE,
+        args={"inputs": len(paths)},
+    ):
+        db, dropped = _fold_files(paths, name)
+    labels = {"job": name}
+    for metric, value, help_text in (
+        ("repro_merge_inputs", len(paths), "rank files fed to the merge"),
+        ("repro_merge_dropped", len(dropped), "rank files dropped from the merge"),
+        ("repro_merge_seconds", (obs.clock.now_us() - start) / 1e6,
+         "wall time of the whole merge"),
+    ):
+        obs.metrics.set_gauge(metric, value, labels, help_text=help_text)
+    return db, dropped
+
+
+def _fold_files(
+    paths: Sequence[str | Path], name: str
+) -> tuple[ProfileDB, list[tuple[str, str]]]:
+    dropped: list[tuple[str, str]] = []
+    ranks: list[str | None] = []  # the ``rank`` meta of each merged input
+
+    def decoded() -> Iterator[ProfileDB]:
+        for path in paths:
+            try:
+                db = ProfileDB.from_bytes(Path(path).read_bytes())
+            except OSError as exc:
+                dropped.append((str(path), f"unreadable: {exc}"))
+                continue
+            except ProfileError as exc:
+                dropped.append((str(path), str(exc)))
+                continue
+            ranks.append(db.meta.get("rank"))
+            yield db
+
+    try:
+        db = merge_profiles(decoded(), name)
+    except ProfileError:
+        if ranks:  # an input decoded, so this is not "nothing to merge"
+            raise
         raise ProfileError(
-            f"nothing to merge: none of the {len(paths)} file(s) were readable"
-        )
-    db, stats, report = parallel_reduction_merge(
-        blobs, name, labels=labels, **kwargs
-    )
-    if unreadable:
-        report.dropped = unreadable + report.dropped
-        db.meta.clear()
-        _mark_partial(db, report.dropped)
-    return db, stats, report
+            f"nothing to merge: none of the {len(paths)} file(s) "
+            "could be read or decoded"
+        ) from None
+    missing = _missing_ranks(db.meta.get("n_ranks"), ranks)
+    if dropped:
+        db.meta["dropped_count"] = str(len(dropped))
+        db.meta["dropped"] = ";".join(path for path, _ in dropped)
+    if missing:
+        db.meta["missing_ranks"] = missing
+    if dropped or missing:
+        db.meta["partial"] = "true"
+    return db, dropped
+
+
+def _missing_ranks(n_ranks: str | None, ranks: list[str | None]) -> str:
+    """The ranks in ``range(n_ranks)`` that no merged input supplied.
+
+    Only rank files answer this: if any input lacks a ``rank`` (a merged
+    job DB, say) or the inputs disagree on ``n_ranks``, nothing is
+    reported.  Runs of two or more ranks print as ``lo-hi``
+    (``"1,4-6"``), so the string grows with the inputs, not with the
+    ``n_ranks`` a file claims.
+    """
+    total = _as_rank(n_ranks)
+    if total is None or None in ranks:
+        return ""
+    present = {r for r in map(_as_rank, ranks) if r is not None and r < total}
+    runs = []
+    lo = 0
+    for hi in sorted(present) + [total]:
+        if hi - lo == 1:
+            runs.append(str(lo))
+        elif hi - lo > 1:
+            runs.append(f"{lo}-{hi - 1}")
+        lo = hi + 1
+    return ",".join(runs)
+
+
+def _as_rank(value: str | None) -> int | None:
+    if value is None or not value.isdecimal():
+        return None
+    try:
+        return int(value)
+    except ValueError:  # more digits than int() converts
+        return None

@@ -5,7 +5,7 @@ files written with :meth:`repro.core.profiledb.ProfileDB.to_bytes`:
 
     python -m repro.tools.hpcview run    --app lulesh --ranks 8 --jobs 4
     python -m repro.tools.hpcview merge  rank0.rpdb rank1.rpdb -o job.rpdb
-    python -m repro.tools.hpcview merge  measurements/lulesh/*.rpdb -o job.rpdb --jobs 4
+    python -m repro.tools.hpcview merge  measurements/lulesh/*.rpdb -o job.rpdb
     python -m repro.tools.hpcview top    job.rpdb --metric remote -n 10
     python -m repro.tools.hpcview bottom job.rpdb --metric latency
     python -m repro.tools.hpcview advise job.rpdb
@@ -431,8 +431,9 @@ def _run_observed(
     place sim-time spans (phase, parallel region, rank, malloc) and
     machine/profiler metrics can be captured, since driver workers are
     separate OS processes; (2) the real multiprocess driver — wall-clock
-    driver spans and retry/timeout metrics; (3) a pool merge of the
-    driver's output — merge spans/metrics plus codec decode spans;
+    driver spans and retry/timeout metrics; (3) the streaming merge of
+    the driver's rank files, decoded in this process — the merge span
+    and metrics plus one codec decode span per file;
     (4) a loopback pass through the continuous-profiling service —
     ingest/compaction/query serve spans and ``repro_serve_*`` metrics.
     """
@@ -447,9 +448,7 @@ def _run_observed(
     )
     merged = None
     if report.paths:
-        merged, _stats, _merge_report = merge_rpdb_files(
-            report.paths, app, jobs=1
-        )
+        merged, _dropped = merge_rpdb_files(report.paths, app)
         _serve_leg(app, report.paths)
     return report, merged
 
@@ -559,25 +558,23 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    if args.jobs is not None:
-        from repro.parallel import merge_rpdb_files
+    from repro.errors import ProfileError
+    from repro.parallel import merge_rpdb_files
 
-        db, stats, report = merge_rpdb_files(
-            args.profiles, Path(args.output).stem,
-            jobs=args.jobs, arity=args.arity,
-        )
-        size = save_profile(db, args.output)
-        print(f"{report.summary()} -> {args.output} ({human_bytes(size)})")
-        if report.partial:
-            for label, why in report.dropped:
-                print(f"  dropped {label}: {why}")
-        return 0
-    dbs = load_profiles(args.profiles)
-    exp = Analyzer(Path(args.output).stem).add_all(dbs).analyze()
-    size = save_profile(exp.db, args.output)
-    stats = exp.merge_stats
-    print(f"merged {stats.profiles_in} thread profiles in {stats.rounds} rounds "
-          f"-> {args.output} ({human_bytes(size)})")
+    try:
+        db, dropped = merge_rpdb_files(args.profiles, Path(args.output).stem)
+    except ProfileError as exc:
+        print(f"merge failed: {exc}", file=sys.stderr)
+        return 1
+    size = save_profile(db, args.output)
+    n_files = len(args.profiles)
+    status = "PARTIAL" if db.meta.get("partial") == "true" else "ok"
+    print(f"merged {n_files - len(dropped)}/{n_files} profile(s) "
+          f"-> {args.output} ({human_bytes(size)}) — {status}")
+    for path, why in dropped:
+        print(f"  dropped {path}: {why}")
+    if "missing_ranks" in db.meta:
+        print(f"  missing ranks: {db.meta['missing_ranks']}")
     return 0
 
 
@@ -716,13 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
                           help="variant for --static-app (default: original)")
     advise_p.add_argument("--static-preset", default="smoke",
                           help="preset for --static-app (default: smoke)")
-    merge = add("merge", cmd_merge, "merge databases into one (reduction tree)")
+    merge = add("merge", cmd_merge,
+                "merge databases into one; unreadable files are dropped "
+                "and reported")
     merge.add_argument("-o", "--output", required=True, help="output .rpdb file")
-    merge.add_argument("--jobs", type=int, default=None, metavar="J",
-                       help="merge on a J-worker process pool "
-                            "(default: in-process sequential merge)")
-    merge.add_argument("--arity", type=int, default=2,
-                       help="reduction-tree fan-in (with --jobs; default 2)")
 
     topdown = sub.add_parser(
         "topdown",

@@ -1,7 +1,7 @@
 """Codec hardening: corrupt input, version compat, round-trip fidelity.
 
 The codec is the wire format between the parallel driver's worker
-processes and the pool merge, so every malformed input must surface as
+processes and the rank-file merge, so every malformed input must surface as
 :class:`ProfileError` — never a raw ``IndexError``/``UnicodeDecodeError``
 /``RecursionError`` escaping the parser guts — and a well-formed
 round-trip must preserve profiles exactly (merge-equivalence included).

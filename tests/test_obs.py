@@ -548,27 +548,30 @@ class TestWallDomain:
         assert m.value("repro_driver_ranks_failed", labels) == 0
         assert m.value("repro_driver_retries_total", labels) == 0
 
-    def test_merge_emits_spans_and_metrics(self):
-        from repro.parallel.merge import parallel_reduction_merge
+    def test_merge_emits_spans_and_metrics(self, tmp_path):
+        from repro.parallel import merge_rpdb_files
 
-        blobs = [
-            run_app_rank("streamcluster", r, 4).to_bytes() for r in range(4)
-        ]
+        paths = []
+        for r in range(4):
+            path = tmp_path / f"{r:04d}.rpdb"
+            path.write_bytes(run_app_rank("streamcluster", r, 4).to_bytes())
+            paths.append(path)
         with observing(ObsConfig(wall_clock=ManualClock())) as session:
-            _db, _stats, report = parallel_reduction_merge(
-                blobs, "job", jobs=1, arity=2
-            )
+            _db, dropped = merge_rpdb_files(paths, "job")
         session.finalize()
-        merge = spans(session.trace, "merge")
-        names = {s["name"] for s in merge}
-        assert "parallel_reduction_merge:job" in names
-        assert any(n.startswith("merge-round1[") for n in names)
+        assert dropped == []
+        (merge,) = spans(session.trace, "merge")
+        assert merge["name"] == "merge_rpdb_files:job"
+        assert merge["pid"] == 0 and merge["tid"] == 2
+        # Each rank file is decoded in this process, inside the merge span.
+        decodes = spans(session.trace, "codec")
+        assert [s["name"] for s in decodes] == ["codec:decode"] * 4
+        assert all(merge["ts"] < s["ts"] < merge["ts"] + merge["dur"] for s in decodes)
         m = session.metrics
         labels = {"job": "job"}
         assert m.value("repro_merge_inputs", labels) == 4
-        assert m.value("repro_merge_rounds", labels) == report.rounds
-        assert m.value("repro_merge_tasks", labels) == report.tasks_dispatched
         assert m.value("repro_merge_dropped", labels) == 0
+        assert m.value("repro_merge_seconds", labels) > 0
 
     def test_codec_spans_and_counters(self):
         from repro.core.profiledb import ProfileDB

@@ -1,11 +1,12 @@
-"""The multiprocess driver and the pool-based reduction-tree merge.
+"""The multiprocess driver and the streaming merge of its rank files.
 
 Covers the real-parallel acceptance properties: worker-per-rank
-profiling with deterministic output, the process-pool merge producing
-canonical bytes identical to the sequential merge with MergeStats
-matching the modelled schedule, and graceful degradation (killed
-workers, crashing apps, corrupt blobs) into *reported* partial results
-instead of hangs or crashes.
+profiling with deterministic output, the rank-file merge producing
+canonical bytes identical to the sequential merge while holding about
+one decoded rank at a time, and graceful degradation (killed workers,
+crashing apps, corrupt or missing files) into *reported* partial
+results — dropped files and missing ranks named in the merged DB's
+``meta`` — instead of hangs or crashes.
 """
 
 from __future__ import annotations
@@ -15,19 +16,20 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from importlib import import_module
 from pathlib import Path
 
 import pytest
 
+from repro.core.analyzer import Analyzer
 from repro.core.cct import KIND_FRAME, KIND_IP
-from repro.core.merge import merge_profiles, reduction_tree_merge
+from repro.core.merge import merge_profiles
 from repro.core.profiledb import ProfileDB, ThreadProfile
 from repro.core.storage import StorageClass
 from repro.errors import ConfigError, ProfileError
 from repro.parallel import (
     merge_rpdb_files,
-    parallel_reduction_merge,
     profile_ranks,
     rank_runner,
     register_app,
@@ -252,76 +254,140 @@ class TestDriver:
             profile_ranks("tiny", 1, tmp_path, jobs=0)
 
 
-class TestParallelMerge:
-    def _blobs(self, n):
-        return [_synthetic_db(i).to_bytes() for i in range(n)]
+class TestMergeRpdbFiles:
+    def _write(self, tmp_path, dbs) -> list[Path]:
+        paths = []
+        for i, db in enumerate(dbs):
+            path = tmp_path / f"{i:04d}.rpdb"
+            path.write_bytes(db.to_bytes())
+            paths.append(path)
+        return paths
 
-    @pytest.mark.parametrize("n,arity", [(1, 2), (2, 2), (5, 2), (9, 4), (16, 2)])
-    def test_byte_identical_to_sequential_merge(self, n, arity):
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 16])
+    def test_byte_identical_to_sequential_merge(self, tmp_path, n):
         dbs = [_synthetic_db(i) for i in range(n)]
         expected = merge_profiles(dbs, "job").canonical_bytes()
-        merged, stats, report = parallel_reduction_merge(
-            [db.to_bytes() for db in dbs], "job", arity=arity, jobs=2
-        )
+        merged, dropped = merge_rpdb_files(self._write(tmp_path, dbs), "job")
         assert merged.canonical_bytes() == expected
         assert merged.meta == {}
-        assert not report.partial
+        assert dropped == []
 
-    @pytest.mark.parametrize("n,arity", [(2, 2), (7, 2), (9, 4)])
-    def test_stats_match_modelled_schedule(self, n, arity):
-        dbs = [_synthetic_db(i) for i in range(n)]
-        _, model = reduction_tree_merge(dbs, "job", arity=arity)
-        _, real, _ = parallel_reduction_merge(
-            [db.to_bytes() for db in dbs], "job", arity=arity, jobs=2
-        )
-        assert real.per_round_visits == model.per_round_visits
-        assert real.critical_path_visits == model.critical_path_visits
-        assert real.node_visits == model.node_visits
-        assert real.rounds == model.rounds
-        assert real.profiles_in == model.profiles_in
-        assert real.pairwise_merges == model.pairwise_merges
+    @pytest.mark.parametrize("app", ["nw", "streamcluster"])
+    def test_same_bytes_as_the_analyzer_tree(self, tmp_path, app):
+        # hpcview merge used to run the Analyzer's reduction tree.
+        dbs = [run_app_rank(app, rank, 4) for rank in range(4)]
+        expected = Analyzer("job").add_all(dbs).analyze().db.to_bytes()
+        merged, _ = merge_rpdb_files(self._write(tmp_path, dbs), "job")
+        assert merged.to_bytes() == expected
 
-    def test_corrupt_blob_degrades_to_reported_partial(self):
-        blobs = self._blobs(4)
-        blobs[2] = b"RPDB" + b"\x00" * 8  # bad version/garbage
-        merged, _, report = parallel_reduction_merge(blobs, "job", jobs=2)
-        assert report.partial
-        assert [label for label, _ in report.dropped] == ["input[2]"]
+    def test_corrupt_blob_degrades_to_reported_partial(self, tmp_path):
+        paths = self._write(tmp_path, [_synthetic_db(i) for i in range(4)])
+        paths[2].write_bytes(b"RPDB" + b"\x00" * 8)  # bad version/garbage
+        merged, dropped = merge_rpdb_files(paths, "job")
+        assert [path for path, _ in dropped] == [str(paths[2])]
         assert merged.meta["partial"] == "true"
-        assert merged.meta["dropped"] == "input[2]"
+        assert merged.meta["dropped"] == str(paths[2])
         survivors = [_synthetic_db(i) for i in (0, 1, 3)]
         expected = merge_profiles(survivors, "job")
         merged.meta.clear()
         assert merged.canonical_bytes() == expected.canonical_bytes()
 
-    def test_all_corrupt_raises(self):
+    def test_all_corrupt_raises(self, tmp_path):
+        junk, trash = tmp_path / "junk.rpdb", tmp_path / "trash.rpdb"
+        junk.write_bytes(b"junk")
+        trash.write_bytes(b"trash")
         with pytest.raises(ProfileError, match="nothing to merge"):
-            parallel_reduction_merge([b"junk", b"trash"], jobs=1)
-        with pytest.raises(ProfileError):
-            parallel_reduction_merge([])
+            merge_rpdb_files([junk, trash, tmp_path / "missing.rpdb"])
+        with pytest.raises(ProfileError, match="nothing to merge"):
+            merge_rpdb_files([])
 
     def test_merge_rpdb_files_skips_unreadable(self, tmp_path):
-        paths = []
-        for i in range(3):
-            path = tmp_path / f"{i}.rpdb"
-            path.write_bytes(_synthetic_db(i).to_bytes())
-            paths.append(path)
+        paths = self._write(tmp_path, [_synthetic_db(i) for i in range(3)])
         paths.append(tmp_path / "missing.rpdb")
-        merged, _, report = merge_rpdb_files(paths, "job", jobs=2)
-        assert report.partial
+        merged, dropped = merge_rpdb_files(paths, "job")
+        assert [path for path, _ in dropped] == [str(paths[3])]
+        assert dropped[0][1].startswith("unreadable:")
         assert merged.meta["dropped_count"] == "1"
         assert "missing.rpdb" in merged.meta["dropped"]
+
+    @pytest.mark.parametrize("drop", ["corrupt", "missing"])
+    def test_partial_merge_keeps_consensus_meta(self, tmp_path, drop):
+        dbs = [run_app_rank("nw", rank, 2) for rank in range(2)]
+        paths = self._write(tmp_path, dbs)
+        clean, _ = merge_rpdb_files(paths, "job")
+        third = tmp_path / "0002.rpdb"
+        if drop == "corrupt":
+            third.write_bytes(b"RPDB" + b"\x00" * 8)
+        merged, dropped = merge_rpdb_files([*paths, third], "job")
+        assert len(dropped) == 1
+        assert {"app", "machine", "n_ranks", "variant"} <= set(clean.meta)
+        assert merged.meta == {
+            **clean.meta,
+            "dropped": str(third),
+            "dropped_count": "1",
+            "partial": "true",
+        }
+
+    def test_missing_ranks_listed(self, tmp_path):
+        dbs = [_tiny_rank(rank, 8) for rank in (0, 2, 3, 7)]
+        paths = self._write(tmp_path, dbs)
+        paths[1].write_bytes(b"rotted")  # rank 2 counts as missing too
+        merged, _ = merge_rpdb_files(paths, "job")
+        assert merged.meta["missing_ranks"] == "1-2,4-6"
+        assert merged.meta["partial"] == "true"
+        assert merged.meta["dropped"] == str(paths[1])
+
+    @pytest.mark.parametrize(
+        "n_ranks, expected",
+        [("1000000000000", "1-999999999999"), ("abc", None), ("9" * 5000, None)],
+    )
+    def test_missing_ranks_from_claimed_n_ranks(self, tmp_path, n_ranks, expected):
+        db = _tiny_rank(0, 1)
+        db.meta["n_ranks"] = n_ranks
+        merged, _ = merge_rpdb_files(self._write(tmp_path, [db]), "job")
+        assert merged.meta.get("missing_ranks") == expected
+
+    def test_missing_ranks_need_rank_files_that_agree(self, tmp_path):
+        job = merge_profiles([_tiny_rank(0, 3), _tiny_rank(1, 3)], "j")
+        assert "rank" not in job.meta and job.meta["n_ranks"] == "3"
+        disagree = [_tiny_rank(0, 3), _tiny_rank(2, 4)]
+        for name, dbs in (("job", [job]), ("disagree", disagree)):
+            (tmp_path / name).mkdir()
+            merged, dropped = merge_rpdb_files(self._write(tmp_path / name, dbs))
+            assert dropped == [] and "missing_ranks" not in merged.meta
+            assert "partial" not in merged.meta
+
+    def test_holds_a_bounded_number_of_decoded_profiles(self, tmp_path, monkeypatch):
+        paths = self._write(tmp_path, [_synthetic_db(i) for i in range(10)])
+        decode = ProfileDB.from_bytes.__func__
+        decoded: list[weakref.ref] = []
+        alive_at_call: list[int] = []
+
+        def tracking_from_bytes(cls, data):
+            alive_at_call.append(sum(1 for ref in decoded if ref() is not None))
+            db = decode(cls, data)
+            decoded.append(weakref.ref(db))
+            return db
+
+        monkeypatch.setattr(ProfileDB, "from_bytes", classmethod(tracking_from_bytes))
+        merged, dropped = merge_rpdb_files(paths, "job")
+        monkeypatch.undo()
+
+        assert dropped == [] and len(alive_at_call) == 10
+        assert max(alive_at_call) <= 2, alive_at_call
+        expected = merge_profiles([_synthetic_db(i) for i in range(10)], "job")
+        assert merged.canonical_bytes() == expected.canonical_bytes()
 
     @needs_fork
     def test_end_to_end_driver_then_merge(self, tmp_path):
         register_app("tiny", _tiny_rank)
         report = profile_ranks("tiny", 6, tmp_path, jobs=2, timeout=60)
         assert report.ok
-        merged, stats, mreport = merge_rpdb_files(report.paths, "job", jobs=2)
+        merged, dropped = merge_rpdb_files(report.paths, "job")
         dbs = [ProfileDB.from_bytes(p.read_bytes()) for p in report.paths]
         assert merged.canonical_bytes() == merge_profiles(dbs, "job").canonical_bytes()
-        assert stats.profiles_in == 12  # 6 ranks x 2 threads
-        assert not mreport.partial
+        assert merged.meta == {"n_ranks": "6"}
+        assert dropped == []
 
 
 @needs_fork
@@ -340,9 +406,7 @@ class TestHpcviewCLI:
         assert len(ranks) == 3
 
         job = tmp_path / "job.rpdb"
-        code = main([
-            "merge", *map(str, ranks), "-o", str(job), "--jobs", "2",
-        ])
+        code = main(["merge", *map(str, ranks), "-o", str(job)])
         assert code == 0
         merged = ProfileDB.from_bytes(job.read_bytes())
         assert merged.process_name == "job"
@@ -362,3 +426,64 @@ class TestHpcviewCLI:
         ])
         assert code == 1
         assert "FAILED" in capsys.readouterr().out
+
+    def test_merge_names_missing_ranks(self, tmp_path, capsys):
+        from repro.tools.hpcview import main
+
+        def rank1_raises(rank, n_ranks, variant="original", preset="smoke"):
+            if rank == 1:
+                raise RuntimeError("rank 1 exploded")
+            return _tiny_rank(rank, n_ranks, variant, preset)
+
+        register_app("cli-rank1-broken", rank1_raises)
+        out = tmp_path / "meas"
+        code = main([
+            "run", "--app", "cli-rank1-broken", "--ranks", "3", "--jobs", "2",
+            "--retries", "0", "--out", str(out),
+        ])
+        assert code == 1
+        job = tmp_path / "job.rpdb"
+        ranks = sorted((out / "cli-rank1-broken").glob("*.rpdb"))
+        assert main(["merge", *map(str, ranks), "-o", str(job)]) == 0
+        merged = ProfileDB.from_bytes(job.read_bytes())
+        assert merged.meta["missing_ranks"] == "1"
+        assert merged.meta["partial"] == "true"
+        assert "missing ranks: 1" in capsys.readouterr().out
+
+    def test_merge_reports_bad_inputs(self, tmp_path, capsys):
+        from repro.tools.hpcview import main
+
+        paths = []
+        for rank in range(2):
+            path = tmp_path / f"{rank:04d}.rpdb"
+            path.write_bytes(_tiny_rank(rank, 2).to_bytes())
+            paths.append(str(path))
+        bad = tmp_path / "bad.rpdb"
+        bad.write_bytes(b"RPDB" + b"\x00" * 8)
+        missing = tmp_path / "missing.rpdb"
+        job = tmp_path / "job.rpdb"
+        code = main(["merge", *paths, str(bad), str(missing), "-o", str(job)])
+        assert code == 0
+        merged = ProfileDB.from_bytes(job.read_bytes())
+        assert merged.meta["dropped_count"] == "2"
+        assert "missing_ranks" not in merged.meta
+        out = capsys.readouterr().out
+        assert "merged 2/4 profile(s)" in out and "PARTIAL" in out
+        assert f"dropped {bad}: " in out
+        assert f"dropped {missing}: unreadable" in out
+
+    def test_merge_with_nothing_readable_exits_1(self, tmp_path, capsys):
+        from repro.tools.hpcview import main
+
+        bad = tmp_path / "bad.rpdb"
+        bad.write_bytes(b"junk")
+        job = tmp_path / "job.rpdb"
+        code = main([
+            "merge", str(bad), str(tmp_path / "missing.rpdb"), "-o", str(job),
+        ])
+        assert code == 1
+        assert not job.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "nothing to merge" in captured.err
