@@ -137,29 +137,47 @@ class CCTNode:
 
         ``other`` is never mutated, and nothing of ``other`` is aliased
         into ``self`` (children and info dicts are copied), so merge
-        targets and sources stay independent afterwards.
+        targets and sources stay independent afterwards.  The walk is
+        iterative, so no tree depth can raise ``RecursionError``.
         """
         if self.key != other.key:
             raise ProfileError(f"cannot merge nodes with keys {self.key} != {other.key}")
-        visited = 1
-        self.metrics.merge(other.metrics)
-        if self.info is None and other.info is not None:
-            self.info = dict(other.info)
-        for key, other_child in other.children.items():
-            mine = self.children.get(key)
-            if mine is None:
-                self.children[key] = other_child.clone()
-                visited += other_child.node_count()
-            else:
-                visited += mine.merge(other_child)
+        visited = 0
+        pairs = [(self, other)]
+        while pairs:
+            mine, theirs = pairs.pop()
+            visited += 1
+            mine.metrics.merge(theirs.metrics)
+            if mine.info is None and theirs.info is not None:
+                mine.info = dict(theirs.info)
+            children = mine.children
+            for key, child in theirs.children.items():
+                target = children.get(key)
+                if target is None:
+                    children[key], copied = child._clone_counted()
+                    visited += copied
+                else:
+                    pairs.append((target, child))
         return visited
 
     def clone(self) -> "CCTNode":
         """Deep copy: no metrics, info, or child structure is shared."""
-        out = CCTNode(self.key, dict(self.info) if self.info is not None else None)
-        out.metrics = self.metrics.copy()
-        out.children = {k: c.clone() for k, c in self.children.items()}
-        return out
+        return self._clone_counted()[0]
+
+    def _clone_counted(self) -> tuple["CCTNode", int]:
+        """Iterative deep copy, plus the number of nodes copied."""
+        out = _copy_node(self)
+        copied = 1
+        pairs = [(self, out)]
+        while pairs:
+            source, target = pairs.pop()
+            children = target.children
+            for key, child in source.children.items():
+                children[key] = copy = _copy_node(child)
+                copied += 1
+                if child.children:
+                    pairs.append((child, copy))
+        return out, copied
 
     def to_dict(self) -> dict:
         return {
@@ -180,6 +198,16 @@ class CCTNode:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CCTNode({self.label()}, children={len(self.children)})"
+
+
+def _copy_node(node: CCTNode) -> CCTNode:
+    """A childless copy of ``node``, built slot by slot (no default metrics)."""
+    out = CCTNode.__new__(CCTNode)
+    out.key = node.key
+    out.info = None if node.info is None else dict(node.info)
+    out.metrics = node.metrics.copy()
+    out.children = {}
+    return out
 
 
 class CCT:

@@ -6,10 +6,12 @@ variables when their symbol names match, and access paths merge
 recursively underneath — all of which falls out of the CCTs' structural
 node keys.
 
-``merge_profiles`` is a streaming fold: it draws one input at a time
-from any iterable, so a caller that decodes lazily (the serve store's
-compaction, :func:`repro.parallel.merge.merge_rpdb_files` behind
-``hpcview merge``) keeps about one input alive however many it folds.
+:class:`ProfileFold` is the one streaming fold: it takes one input at a
+time and keeps only the merged tree and the consensus metadata.
+``merge_profiles`` runs it over any iterable, so a caller that decodes
+lazily (:func:`repro.parallel.merge.merge_rpdb_files` behind ``hpcview
+merge``) keeps about one input alive however many it folds; the serve
+store keeps one fold per app alive across ingests as its live rollup.
 ``reduction_tree_merge`` models HPCToolkit's MPI reduction-tree
 parallelization in one process: profiles are merged pairwise in
 ``ceil(log2 n)`` rounds; the returned :class:`MergeStats` reports both
@@ -29,6 +31,7 @@ from repro.errors import ProfileError
 
 __all__ = [
     "MergeStats",
+    "ProfileFold",
     "consensus_meta",
     "merge_thread_profiles",
     "merge_profiles",
@@ -85,7 +88,7 @@ def _agreed_meta(agreed: dict[str, str], meta: dict[str, str]) -> dict[str, str]
     """The entries of ``agreed`` that ``meta`` carries with the same value.
 
     The single definition of consensus, shared by :func:`consensus_meta`
-    and the incremental fold in :func:`merge_profiles`.
+    and the incremental fold in :class:`ProfileFold`.
     """
     return {k: v for k, v in agreed.items() if meta.get(k) == v}
 
@@ -109,6 +112,38 @@ def consensus_meta(dbs: Sequence[ProfileDB]) -> dict[str, str]:
     return out
 
 
+class ProfileFold:
+    """Streaming merge accumulator: fold process DBs in one at a time.
+
+    Holds the merged thread profile and the consensus metadata of every
+    input added so far.  Inputs are never mutated or aliased (subtrees
+    are copied on first contact), so an input may be reused afterwards.
+    """
+
+    def __init__(self, name: str = "job") -> None:
+        self.name = name
+        self.merged = ThreadProfile(f"{name}.merged")
+        self.meta: dict[str, str] | None = None   # None until the first input
+
+    def add(self, db: ProfileDB) -> None:
+        """Fold ``db``'s threads (in sorted order) and intersect its meta."""
+        for profile in db.all_profiles():
+            merge_thread_profiles(self.merged, profile)
+        self.meta = dict(db.meta) if self.meta is None else _agreed_meta(self.meta, db.meta)
+
+    def result(self) -> ProfileDB:
+        """The merge of everything added so far, as a one-thread DB.
+
+        The DB shares the fold's tree, so encode or use it before adding
+        more.  Raises :class:`ProfileError` if nothing was added.
+        """
+        if self.meta is None:
+            raise ProfileError("nothing to merge")
+        out = ProfileDB(self.name, self.meta)
+        out.add_thread(self.merged)
+        return out
+
+
 def merge_profiles(dbs: Iterable[ProfileDB], name: str = "job") -> ProfileDB:
     """Sequentially fold many process DBs into one job-level DB.
 
@@ -116,18 +151,10 @@ def merge_profiles(dbs: Iterable[ProfileDB], name: str = "job") -> ProfileDB:
     and its metadata intersected into the consensus, before the next one
     is drawn.  Inputs are never mutated (bit-identical before and after).
     """
-    merged = ThreadProfile(f"{name}.merged")
-    meta: dict[str, str] | None = None
+    fold = ProfileFold(name)
     for db in dbs:
-        for profile in db.all_profiles():
-            merge_thread_profiles(merged, profile)
-        meta = dict(db.meta) if meta is None else _agreed_meta(meta, db.meta)
-    if meta is None:
-        raise ProfileError("nothing to merge")
-    out = ProfileDB(name)
-    out.add_thread(merged)
-    out.meta.update(meta)
-    return out
+        fold.add(db)
+    return fold.result()
 
 
 def reduction_tree_merge(

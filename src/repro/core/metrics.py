@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from repro.machine.hierarchy import LVL_RMEM
+from repro.machine.hierarchy import LVL_L1, LVL_L2, LVL_L3, LVL_LMEM, LVL_RMEM
 from repro.pmu.sample import Sample
 
 __all__ = ["MetricVector", "MetricKind"]
@@ -80,14 +80,23 @@ class MetricVector:
         self.samples += other.samples
         self.latency += other.latency
         self.events += other.events
-        for i in range(_N_LEVELS):
-            self.levels[i] += other.levels[i]
+        mine, theirs = self.levels, other.levels  # unrolled over the levels
+        mine[LVL_L1] += theirs[LVL_L1]
+        mine[LVL_L2] += theirs[LVL_L2]
+        mine[LVL_L3] += theirs[LVL_L3]
+        mine[LVL_LMEM] += theirs[LVL_LMEM]
+        mine[LVL_RMEM] += theirs[LVL_RMEM]
         self.tlb_misses += other.tlb_misses
         self.stores += other.stores
 
     def copy(self) -> "MetricVector":
-        out = MetricVector()
-        out.merge(self)
+        out = MetricVector.__new__(MetricVector)
+        out.samples = self.samples
+        out.latency = self.latency
+        out.events = self.events
+        out.levels = self.levels.copy()
+        out.tlb_misses = self.tlb_misses
+        out.stores = self.stores
         return out
 
     def is_zero(self) -> bool:

@@ -16,9 +16,14 @@ of the parser.  Decoding is one pass: after the string table, the body
 becomes one list of varint values (single-byte runs copied in C, only
 multi-byte varints decoded in Python), then one iterative walk builds
 the CCTs, memoizing node keys and info dicts on their value spans.  The
-cyclic garbage collector is paused while the walk builds the trees (they
-hold no reference cycles) and restored to the caller's state afterwards;
-this module is the one place in ``repro`` that changes collector state.
+same walk can fold a tree into one it already built, which gives the
+merged decode (:meth:`ProfileDB.merged_from_bytes`): every thread of a
+profile folded into one as it is read, exactly what
+:func:`repro.core.merge.merge_profiles` would make of the plain decode.
+The cyclic garbage collector is paused while the walk builds the trees
+(they hold no reference cycles) and restored to the caller's state
+afterwards; this module is the one place in ``repro`` that changes
+collector state.
 
 Format version 2 adds a small string-keyed metadata section to the
 header (used by the rank-file merge to report partial results); version 1
@@ -37,6 +42,7 @@ from repro.core.cct import CCT, CCTNode, canonical_key_order
 from repro.core.metrics import MetricVector
 from repro.core.storage import StorageClass
 from repro.errors import ProfileError
+from repro.machine.hierarchy import LVL_L1, LVL_L2, LVL_L3, LVL_LMEM, LVL_RMEM
 
 __all__ = ["ThreadProfile", "ProfileDB"]
 
@@ -273,22 +279,32 @@ def _decode_header(
 def _decode_tree(
     values: list[int], i: int, strings: list[str], multibyte_tags: set[int],
     memo: dict[tuple[int, ...], tuple[tuple, dict | None]],
-) -> tuple[CCTNode, int]:
-    """Build the CCT whose root node starts at ``values[i]``.
+    holder: dict[tuple, CCTNode], seen: set[CCTNode] | None,
+) -> int:
+    """Decode the CCT whose root node starts at ``values[i]`` into ``holder``.
+
+    ``holder`` maps root keys to roots.  A fresh decode (``seen`` is
+    ``None``) starts from an empty holder and builds every node.  A fold
+    starts from ``{key: root}`` of an existing tree and adds each source
+    node into the node with the same path, creating the ones it lacks, so
+    the result is what :meth:`CCTNode.merge` would build: metrics summed,
+    info kept from the first node that had any, new children appended in
+    source order.  ``seen`` collects the nodes this source tree
+    reached, so two source siblings with one key are rejected even
+    when they land on a node that existed before.
 
     Iterative pre-order walk, so adversarially deep inputs cannot raise
     ``RecursionError``.  ``memo`` maps a node's key+info value span to
     its decoded key and info (spans repeat across contexts); each node
     gets its own copy of the info dict so decoded nodes never alias.
     Nodes are built slot by slot, skipping the default ``MetricVector``
-    that ``CCTNode()`` would allocate.  Running off the end of
-    ``values`` raises ``IndexError``; the caller maps it to
-    :class:`ProfileError`.
+    that ``CCTNode()`` would allocate.  Returns the index past the tree.
+    Running off the end of ``values`` raises ``IndexError``; the caller
+    maps it to :class:`ProfileError`.
     """
     new_node = CCTNode.__new__
     new_metrics = MetricVector.__new__
     n_fields = _N_METRIC_FIELDS
-    holder: dict[tuple, CCTNode] = {}
     parent = holder
     remaining = 1
     stack: list[tuple[dict[tuple, CCTNode], int]] = []
@@ -310,29 +326,106 @@ def _decode_tree(
             raise ProfileError("bad key tag (multi-byte)")
         key, info = header
         n_children = values[k + n_fields]
-        m = new_metrics(MetricVector)
-        m.samples = values[k]
-        m.latency = values[k + 1]
-        m.events = values[k + 2]
-        m.tlb_misses = values[k + 3]
-        m.stores = values[k + 4]
-        m.levels = values[k + 5:k + n_fields]
-        node = new_node(CCTNode)
-        node.key = key
-        node.info = None if info is None else info.copy()
-        node.metrics = m
-        children: dict[tuple, CCTNode] = {}
-        node.children = children
         if key in parent:
-            raise ProfileError(f"duplicate child key {key}")
-        parent[key] = node
+            node = parent[key]
+            if seen is None or node in seen:
+                raise ProfileError(f"duplicate child key {key}")
+            seen.add(node)
+            m = node.metrics
+            m.samples += values[k]
+            m.latency += values[k + 1]
+            m.events += values[k + 2]
+            m.tlb_misses += values[k + 3]
+            m.stores += values[k + 4]
+            levels = m.levels  # unrolled over the data-source levels
+            levels[LVL_L1] += values[k + 5 + LVL_L1]
+            levels[LVL_L2] += values[k + 5 + LVL_L2]
+            levels[LVL_L3] += values[k + 5 + LVL_L3]
+            levels[LVL_LMEM] += values[k + 5 + LVL_LMEM]
+            levels[LVL_RMEM] += values[k + 5 + LVL_RMEM]
+            if node.info is None and info is not None:
+                node.info = info.copy()
+            children = node.children
+        else:
+            m = new_metrics(MetricVector)
+            m.samples = values[k]
+            m.latency = values[k + 1]
+            m.events = values[k + 2]
+            m.tlb_misses = values[k + 3]
+            m.stores = values[k + 4]
+            m.levels = values[k + 5:k + n_fields]
+            node = new_node(CCTNode)
+            node.key = key
+            node.info = None if info is None else info.copy()
+            node.metrics = m
+            children = {}
+            node.children = children
+            parent[key] = node
+            if seen is not None:
+                seen.add(node)
         i = k + n_fields + 1
         if n_children:
             stack.append((parent, remaining))
             parent = children
             remaining = n_children
-    (root,) = holder.values()
-    return root, i
+    return i
+
+
+def _storage_at(strings: list[str], idx: int) -> StorageClass:
+    try:
+        return StorageClass(_string_at(strings, idx))
+    except ValueError as exc:
+        raise ProfileError(f"unknown storage class: {exc}") from exc
+
+
+def _fold_threads(
+    values: list[int], i: int, n_threads: int, strings: list[str],
+    multibyte_tags: set[int], memo: dict[tuple[int, ...], tuple[tuple, dict | None]],
+    merged: ThreadProfile,
+) -> int:
+    """Fold ``n_threads`` encoded thread profiles into ``merged``.
+
+    The merged decode's thread loop: each storage class's first CCT is
+    decoded fresh, every later one is folded into it.  Adds the rules a
+    fold needs to what a plain decode checks: thread names strictly
+    increase (the order :func:`merge_profiles` folds them in) and every
+    root key is ``("root", <storage class>)``.  Returns the index past
+    the last thread.
+    """
+    previous = None
+    for _ in range(n_threads):
+        name = _string_at(strings, values[i])
+        if previous is not None and name <= previous:
+            raise ProfileError(f"thread {name!r} does not sort after {previous!r}")
+        previous = name
+        n_classes = values[i + 1]
+        i += 2
+        classes: set[StorageClass] = set()
+        for _ in range(n_classes):
+            storage = _storage_at(strings, values[i])
+            if storage in classes:
+                raise ProfileError(f"duplicate storage class {storage.value}")
+            classes.add(storage)
+            tree = merged.get_cct(storage)
+            if tree is None:
+                holder: dict[tuple, CCTNode] = {}
+                i = _decode_tree(values, i + 1, strings, multibyte_tags, memo, holder, None)
+                tree = merged.cct(storage)
+                (root,) = holder.values()
+                if root.key != tree.root.key:
+                    raise ProfileError(
+                        f"CCT root key {root.key} does not match storage class "
+                        f"{storage.value!r}"
+                    )
+                tree.root = root
+            else:
+                holder = {tree.root.key: tree.root}
+                i = _decode_tree(values, i + 1, strings, multibyte_tags, memo, holder, set())
+                if len(holder) != 1:
+                    raise ProfileError(
+                        f"CCT root key does not match storage class {storage.value!r}"
+                    )
+    return i
 
 
 # -- profiles -------------------------------------------------------------------
@@ -470,11 +563,32 @@ class ProfileDB:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "ProfileDB":
+        return cls._decode(data, None)
+
+    @classmethod
+    def merged_from_bytes(cls, data: bytes, name: str) -> "ProfileDB":
+        """``merge_profiles([ProfileDB.from_bytes(data)], name)`` in one pass.
+
+        Each storage class's first CCT is decoded as usual and every later
+        thread's CCT of that class is folded into it as it is read, so the
+        merged tree is built without materializing the per-thread ones.
+        The result encodes to the same plain and canonical bytes as the
+        two-step merge.  It accepts a subset of what :meth:`from_bytes`
+        accepts, adding only the rules a fold needs: every CCT root key is
+        ``("root", <storage class>)``, thread names strictly increase (the
+        encoder writes them sorted, and the merge folds them in sorted
+        order, keeping the first info it meets), and sibling keys are
+        unique within each source tree.
+        """
+        return cls._decode(data, name)
+
+    @classmethod
+    def _decode(cls, data: bytes, merged_name: str | None) -> "ProfileDB":
         obs = _obs_session()
         if obs is None:
-            return cls._from_bytes_impl(data)
+            return cls._from_bytes_impl(data, merged_name)
         start = obs.clock.now_us()
-        db = cls._from_bytes_impl(data)
+        db = cls._from_bytes_impl(data, merged_name)
         obs.trace.complete(
             name="codec:decode", cat="codec", ts_us=start,
             dur_us=obs.clock.now_us() - start, pid=0, tid=3,
@@ -491,7 +605,7 @@ class ProfileDB:
         return db
 
     @classmethod
-    def _from_bytes_impl(cls, data: bytes) -> "ProfileDB":
+    def _from_bytes_impl(cls, data: bytes, merged_name: str | None) -> "ProfileDB":
         if len(data) < _HEADER_LEN:
             raise ProfileError(f"profile shorter than the {_HEADER_LEN}-byte header")
         if data[:4] != _MAGIC:
@@ -527,7 +641,7 @@ class ProfileDB:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            return cls._from_values(values, version, strings, multibyte_tags)
+            return cls._from_values(values, version, strings, multibyte_tags, merged_name)
         except IndexError:
             raise ProfileError("truncated profile body") from None
         finally:
@@ -536,7 +650,8 @@ class ProfileDB:
 
     @classmethod
     def _from_values(
-        cls, values: list[int], version: int, strings: list[str], multibyte_tags: set[int]
+        cls, values: list[int], version: int, strings: list[str],
+        multibyte_tags: set[int], merged_name: str | None,
     ) -> "ProfileDB":
         db = cls(_string_at(strings, values[0]))
         i = 1
@@ -549,22 +664,28 @@ class ProfileDB:
         memo: dict[tuple[int, ...], tuple[tuple, dict | None]] = {}
         n_threads = values[i]
         i += 1
-        for _ in range(n_threads):
-            profile = ThreadProfile(_string_at(strings, values[i]))
-            n_classes = values[i + 1]
-            i += 2
-            for _ in range(n_classes):
-                try:
-                    storage = StorageClass(_string_at(strings, values[i]))
-                except ValueError as exc:
-                    raise ProfileError(f"unknown storage class: {exc}") from exc
-                if storage in profile._ccts:
-                    raise ProfileError(f"duplicate storage class {storage.value}")
-                root, i = _decode_tree(values, i + 1, strings, multibyte_tags, memo)
-                tree = CCT(storage.value)
-                tree.root = root
-                profile._ccts[storage] = tree
-            db.add_thread(profile)
+        if merged_name is not None:
+            db.process_name = merged_name
+            merged = ThreadProfile(f"{merged_name}.merged")
+            db.add_thread(merged)
+            i = _fold_threads(values, i, n_threads, strings, multibyte_tags, memo, merged)
+        else:
+            for _ in range(n_threads):
+                profile = ThreadProfile(_string_at(strings, values[i]))
+                n_classes = values[i + 1]
+                i += 2
+                for _ in range(n_classes):
+                    storage = _storage_at(strings, values[i])
+                    if storage in profile._ccts:
+                        raise ProfileError(f"duplicate storage class {storage.value}")
+                    holder: dict[tuple, CCTNode] = {}
+                    i = _decode_tree(
+                        values, i + 1, strings, multibyte_tags, memo, holder, None
+                    )
+                    tree = CCT(storage.value)
+                    (tree.root,) = holder.values()
+                    profile._ccts[storage] = tree
+                db.add_thread(profile)
         if i != len(values):
             raise ProfileError(f"{len(values) - i} trailing values after profile body")
         return db

@@ -21,13 +21,18 @@ Response::
     u32      payload_len big-endian
     payload  JSON object (ok: op result; error: {"error": ...})
 
-Backpressure and durability: handlers validate blobs through the
-hardened codec, then block on a **bounded** queue feeding one consumer
-task that owns all store writes.  The ack is only sent after the
-consumer resolves the request's future post-commit, so a slow disk
-backs pressure up through the queue to every connected client, and an
-acked blob is on disk.  Corrupt blobs are rejected at the front door
-(``ProfileError`` from the codec) without ever touching the store.
+Backpressure and durability: handlers validate each blob with the
+hardened codec's merged decode
+(:meth:`repro.core.profiledb.ProfileDB.merged_from_bytes`), then block
+on a **bounded** queue feeding one consumer task that owns all store
+writes.  The ack is only sent after the consumer resolves the request's
+future post-commit, so a slow disk backs pressure up through the queue
+to every connected client, and an acked blob is on disk.  Corrupt blobs,
+and blobs no compaction could fold, are rejected at the front door
+(``ProfileError`` from the codec) without ever touching the store.  The
+consumer hands the door's merged profile to the store, which folds it
+into the app's live rollup right after the leaf is written, so a leaf
+is decoded once and compaction only encodes.
 
 Self-instrumentation (``repro.obs``): every request runs under a wall
 span on the ``serve`` lane, and the session's registry collects
@@ -219,10 +224,10 @@ class ProfileService:
         """Single writer: commits validated blobs, resolves ack futures."""
         assert self._queue is not None
         while True:
-            app, blob, future = await self._queue.get()
+            app, blob, profile, future = await self._queue.get()
             self._queue_depth()
             try:
-                seq = self._commit(app, blob)
+                seq = self._commit(app, blob, profile)
             except Exception as exc:  # resolve the waiter, don't die
                 if not future.cancelled():
                     future.set_exception(exc)
@@ -232,8 +237,8 @@ class ProfileService:
             finally:
                 self._queue.task_done()
 
-    def _commit(self, app: str, blob: bytes) -> int:
-        seq = self.store.ingest(app, blob, validated=True)
+    def _commit(self, app: str, blob: bytes, profile: ProfileDB) -> int:
+        seq = self.store.ingest(app, blob, profile)
         if self.compact_every > 0:
             pending = self._since_compact.get(app, 0) + 1
             if pending >= self.compact_every:
@@ -340,14 +345,16 @@ class ProfileService:
     async def _ingest(self, app: str, blob: bytes) -> dict:
         ProfileStore.check_app(app)
         try:
-            ProfileDB.from_bytes(blob)  # hardened codec is the gatekeeper
+            # The hardened codec is the gatekeeper; its merged decode is
+            # what the store folds into the live rollup.
+            profile = ProfileDB.merged_from_bytes(blob, app)
         except ProfileError as exc:
             err = ServeError(f"rejected corrupt blob for {app!r}: {exc}")
             err.reason = "corrupt-blob"  # type: ignore[attr-defined]
             raise err from exc
         assert self._queue is not None, "service not started"
         future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await self._queue.put((app, blob, future))  # blocks when full
+        await self._queue.put((app, blob, profile, future))  # blocks when full
         self._queue_depth()
         seq = await future  # ack only after the writer committed
         metric = self._metric()

@@ -12,16 +12,26 @@ compaction::
         shard-00/000001.rpdb   # leaf blobs, sharded by sequence number
         shard-01/000002.rpdb
 
-Compaction is a streaming fold through :func:`repro.core.merge.
-merge_profiles`: each round draws the existing rollup, then every leaf
-past the compaction watermark, decoding each leaf just before it merges,
-so a round holds the rollup plus about one decoded leaf however many
-leaves are pending.  Because pairwise CCT merging is associative and
-commutative, consensus metadata is an intersection, and the rollup is
-stored in *canonical* byte form, an incrementally-maintained rollup is
-byte-identical to one sequential :func:`repro.core.merge.merge_profiles`
-over the same leaves — the invariant :meth:`ProfileStore.verify_rollup`
-checks and the serve tests pin across interleaved ingest schedules.
+Each app keeps a **live rollup** in memory: a
+:class:`repro.core.merge.ProfileFold` holding the stored rollup plus
+every leaf ingested since, tagged with the manifest generation and
+watermark it builds on and the sequence numbers it folded past that
+watermark.  :meth:`ProfileStore.ingest` takes the blob's merged decode
+(:meth:`repro.core.profiledb.ProfileDB.merged_from_bytes`, which the
+service's door already made) and folds it in right after the leaf's
+atomic write, so each leaf is decoded once.  Compaction then only
+encodes the live rollup and writes the rollup and the manifest.  When
+the live rollup does not cover exactly the leaves past the manifest's
+watermark at the manifest's generation (after a reopen, or after
+another store compacted or ingested into the same root), compaction
+first rebuilds it from disk through the same fold: the stored rollup,
+then each fresh leaf, decoded one at a time.  Because pairwise CCT
+merging is associative and commutative, consensus metadata is an
+intersection, and the rollup is stored in *canonical* byte form, an
+incrementally-maintained rollup is byte-identical to one sequential
+:func:`repro.core.merge.merge_profiles` over the same leaves — the
+invariant :meth:`ProfileStore.verify_rollup` checks and the serve tests
+pin across interleaved ingest schedules.
 
 All file writes are atomic (``.tmp`` sibling + ``os.replace``), matching
 the ``.rpdb`` convention everywhere else in the repo, so a crash mid-
@@ -37,10 +47,9 @@ import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
 
 # reduction_tree_merge is unused here; perfbench/tracer.py wraps it by name.
-from repro.core.merge import merge_profiles, reduction_tree_merge  # noqa: F401
+from repro.core.merge import ProfileFold, merge_profiles, reduction_tree_merge  # noqa: F401
 from repro.core.profiledb import ProfileDB
 from repro.errors import ProfileError, ServeError
 
@@ -111,13 +120,38 @@ class StoreStats:
     shards: dict[str, int] = field(default_factory=dict)
 
 
+@dataclass
+class _LiveRollup:
+    """An app's rollup kept in memory between compactions.
+
+    ``fold`` holds the rollup of manifest generation ``generation``, which
+    covered the leaves up to ``watermark``, plus the leaves ``seqs``
+    folded since, in ingest order.
+    """
+
+    fold: ProfileFold
+    generation: int
+    watermark: int
+    seqs: list[int] = field(default_factory=list)
+
+    def covers(self, manifest: dict, fresh: list[LeafRef]) -> bool:
+        """Whether this fold is the manifest's rollup plus exactly ``fresh``."""
+        return (
+            self.generation == manifest["generation"]
+            and self.watermark == manifest["compacted_upto"]
+            and self.seqs == [ref.seq for ref in fresh]
+        )
+
+
 class ProfileStore:
     """Sharded ``.rpdb`` store: ingest leaves, compact into rollups.
 
     One instance owns one store root.  Not safe for concurrent writers
     from multiple processes (the service serializes writes through its
     ingest queue); readers may open the same root read-only at any time
-    since every visible file is complete by construction.
+    since every visible file is complete by construction.  Live rollups
+    belong to the instance: a reopened store has none until its first
+    compaction rebuilds them from disk.
     """
 
     def __init__(self, root: str | Path, shards: int = 4) -> None:
@@ -128,6 +162,8 @@ class ProfileStore:
         self.root.mkdir(parents=True, exist_ok=True)
         # app -> next leaf sequence number, recovered from filenames.
         self._next_seq: dict[str, int] = {}
+        # app -> live rollup; none after a reopen until a compaction rebuilds it.
+        self._live: dict[str, _LiveRollup] = {}
         for app in self.apps():
             leaves = self.leaves(app)
             self._next_seq[app] = (leaves[-1].seq + 1) if leaves else 1
@@ -197,21 +233,36 @@ class ProfileStore:
         refs.sort(key=lambda ref: ref.seq)
         return refs
 
-    def ingest(self, app: str, blob: bytes, validated: bool = False) -> int:
+    def ingest(self, app: str, blob: bytes, profile: ProfileDB | None = None) -> int:
         """Store one leaf blob; returns its sequence number.
 
-        ``validated=True`` skips the decode check when the caller (the
-        ingest service) already ran the blob through the hardened codec.
+        ``profile`` is the blob's merged decode
+        (:meth:`ProfileDB.merged_from_bytes`), which the ingest service
+        already made at its door; without it the store makes it here, so
+        a blob that no compaction could fold raises :class:`ProfileError`
+        before anything is written.  Right after the leaf's atomic write
+        the profile is folded into the app's live rollup.  The live rollup
+        leaves the store while it folds, so a fold that raises leaves none
+        behind and the next compaction rebuilds it from disk.
         """
         self.check_app(app)
-        if not validated:
-            ProfileDB.from_bytes(blob)  # raises ProfileError on corruption
+        if profile is None:
+            profile = ProfileDB.merged_from_bytes(blob, app)
         seq = self._next_seq.get(app)
         if seq is None:
             leaves = self.leaves(app)
             seq = (leaves[-1].seq + 1) if leaves else 1
         self._next_seq[app] = seq + 1
         _atomic_write(self._shard_dir(app, seq) / f"{seq:08d}.rpdb", blob)
+        live = self._live.pop(app, None)
+        if live is None and seq == 1:
+            # A new app: its rollup is empty.  Were the root not new after
+            # all, compaction sees the mismatch and rebuilds.
+            live = _LiveRollup(ProfileFold(app), generation=0, watermark=0)
+        if live is not None:
+            live.fold.add(profile)
+            live.seqs.append(seq)
+            self._live[app] = live
         return seq
 
     # -- rollup & compaction -------------------------------------------------
@@ -228,16 +279,17 @@ class ProfileStore:
         return ProfileDB.from_bytes(data) if data is not None else None
 
     def compact(self, app: str) -> CompactionResult:
-        """Fold every uncompacted leaf into the app's rollup.
+        """Write the app's live rollup as its new rollup generation.
 
-        :func:`merge_profiles` folds ``[current rollup] + new leaves``
-        one input at a time, each leaf decoded just before it merges;
-        merge associativity plus canonical serialization keeps the result
-        byte-identical to a from-scratch sequential merge of all covered
-        leaves, whatever the ingest/compaction interleaving.  A leaf that
-        fails to decode raises :class:`ServeError` before anything is
-        written.  A round with no new leaves is a no-op (generation
-        unchanged).
+        Encodes the live rollup (rebuilding it from disk first when it
+        does not cover exactly the leaves past the manifest's watermark),
+        then writes the rollup and the manifest.  A stored leaf that fails
+        to decode during a rebuild raises :class:`ServeError` before
+        anything is written.  The live rollup takes the new generation
+        only once the manifest is written, so after a failed rollup or
+        manifest write it still matches what the manifest says and no
+        leaf is folded twice.  A round with no new leaves is a no-op
+        (generation unchanged).
         """
         manifest = self._manifest(app)
         leaves = self.leaves(app)
@@ -248,26 +300,34 @@ class ProfileStore:
         if not fresh:
             return result
 
-        data = merge_profiles(self._fold_inputs(app, fresh), name=app).canonical_bytes()
+        live = self._live.get(app)
+        if live is None or not live.covers(manifest, fresh):
+            live = self._rebuild(app, manifest, fresh)
+        data = live.fold.result().canonical_bytes()
         _atomic_write(self.rollup_path(app), data)
 
         manifest["generation"] += 1
         manifest["compacted_upto"] = fresh[-1].seq
         self._write_manifest(app, manifest)
+        live.generation = manifest["generation"]
+        live.watermark = manifest["compacted_upto"]
+        live.seqs = []
 
         result.generation = manifest["generation"]
         result.leaves_folded = len(fresh)
         result.rollup_bytes = len(data)
         return result
 
-    def _fold_inputs(self, app: str, fresh: list[LeafRef]) -> Iterator[ProfileDB]:
-        """The current rollup (if any), then each fresh leaf, decoded lazily."""
+    def _rebuild(self, app: str, manifest: dict, fresh: list[LeafRef]) -> _LiveRollup:
+        """Fold the stored rollup, then each fresh leaf, decoded one at a time."""
+        self._live.pop(app, None)
+        fold = ProfileFold(app)
         rollup = self.rollup_bytes(app)
         if rollup is not None:
-            yield ProfileDB.from_bytes(rollup)
+            fold.add(ProfileDB.merged_from_bytes(rollup, app))
         for ref in fresh:
             try:
-                db = ProfileDB.from_bytes(ref.path.read_bytes())
+                db = ProfileDB.merged_from_bytes(ref.path.read_bytes(), app)
             except (OSError, ProfileError) as exc:
                 # Leaves were validated at ingest; a blob going bad on
                 # disk afterwards is a store-integrity failure, not a
@@ -275,7 +335,13 @@ class ProfileStore:
                 raise ServeError(
                     f"stored leaf {ref.path} is unreadable: {exc}"
                 ) from exc
-            yield db
+            fold.add(db)
+        live = _LiveRollup(
+            fold, manifest["generation"], manifest["compacted_upto"],
+            [ref.seq for ref in fresh],
+        )
+        self._live[app] = live
+        return live
 
     def verify_rollup(self, app: str) -> tuple[bool, int]:
         """Check the incremental rollup against a sequential re-merge.

@@ -49,6 +49,7 @@ from repro.core.render import (
     render_top_down,
     render_variable_table,
 )
+from repro.errors import ProfileError
 from repro.machine.stats import MachineStats
 from repro.util.fmt import format_table, human_bytes
 
@@ -63,7 +64,18 @@ def save_profile(db: ProfileDB, path: str | Path) -> int:
 
 
 def load_profiles(paths: list[str]) -> list[ProfileDB]:
-    return [ProfileDB.from_bytes(Path(p).read_bytes()) for p in paths]
+    return [_read_profile(p) for p in paths]
+
+
+def _read_profile(path: str) -> ProfileDB:
+    """Decode one ``.rpdb`` file; a missing or corrupt one ends the
+    command with one stderr line naming the file (exit status 1)."""
+    try:
+        return ProfileDB.from_bytes(Path(path).read_bytes())
+    except OSError as exc:
+        raise SystemExit(f"{path}: cannot read: {exc.strerror or exc}") from None
+    except ProfileError as exc:
+        raise SystemExit(f"{path}: not a profile database: {exc}") from None
 
 
 def _experiment(paths: list[str]) -> ExperimentDB:
@@ -82,7 +94,7 @@ def cmd_info(args: argparse.Namespace) -> None:
     if not args.profiles and not args.machine_stats:
         raise SystemExit("info: give profile files and/or --machine-stats")
     for path in args.profiles:
-        db = ProfileDB.from_bytes(Path(path).read_bytes())
+        db = _read_profile(path)
         rows = []
         for profile in db.all_profiles():
             classes = ", ".join(s.value for s in profile.storage_classes())
@@ -558,7 +570,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def cmd_merge(args: argparse.Namespace) -> int:
-    from repro.errors import ProfileError
     from repro.parallel import merge_rpdb_files
 
     try:
@@ -686,17 +697,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text, profiles_nargs="+"):
+    def add(name, fn, help_text, profiles_nargs="+", ranked=True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("profiles", nargs=profiles_nargs, help="profile database files")
-        p.add_argument("--metric", default="samples",
-                       help="samples|latency|events|remote|tlb_miss")
-        p.add_argument("-n", type=int, default=10, help="rows to show")
+        if ranked:  # only the ranked views read these
+            p.add_argument("--metric", default="samples",
+                           help="samples|latency|events|remote|tlb_miss")
+            p.add_argument("-n", type=int, default=10, help="rows to show")
         p.set_defaults(func=fn)
         return p
 
     info = add("info", cmd_info, "list threads/CCTs in each database",
-               profiles_nargs="*")
+               profiles_nargs="*", ranked=False)
     info.add_argument("--machine-stats", action="append", default=[],
                       metavar="FILE.json",
                       help="also render a MachineStats snapshot (JSON dict)")
@@ -715,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="preset for --static-app (default: smoke)")
     merge = add("merge", cmd_merge,
                 "merge databases into one; unreadable files are dropped "
-                "and reported")
+                "and reported", ranked=False)
     merge.add_argument("-o", "--output", required=True, help="output .rpdb file")
 
     topdown = sub.add_parser(

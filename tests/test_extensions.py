@@ -362,6 +362,36 @@ class TestHpcviewCLI:
         with pytest.raises(SystemExit):
             main(["top", saved_profile, "--metric", "bogus"])
 
+    @pytest.mark.parametrize("argv", [
+        ["info", "{p}", "--metric", "latency"],
+        ["info", "{p}", "-n", "3"],
+        ["merge", "{p}", "-o", "{out}", "--metric", "latency"],
+        ["merge", "{p}", "-o", "{out}", "-n", "3"],
+    ])
+    def test_unranked_views_reject_ranking_flags(self, saved_profile, tmp_path, capsys, argv):
+        from repro.tools.hpcview import main
+
+        args = [a.format(p=saved_profile, out=tmp_path / "job.rpdb") for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(args)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "job.rpdb").exists()
+
+    @pytest.mark.parametrize("view", ["info", "top", "table", "bottom", "advise", "topdown"])
+    @pytest.mark.parametrize("defect", ["missing", "corrupt"])
+    def test_bad_input_is_one_line_not_a_traceback(self, saved_profile, tmp_path, view, defect):
+        from repro.tools.hpcview import main
+
+        bad = tmp_path / "bad.rpdb"
+        if defect == "corrupt":
+            bad.write_bytes(b"RPDB\x02\x00garbage")
+        with pytest.raises(SystemExit) as exc:
+            main([view, saved_profile, str(bad)])
+        message = str(exc.value.code)
+        assert message.startswith(f"{bad}: ") and "\n" not in message
+        assert ("No such file" in message) if defect == "missing" else ("profile" in message)
+
 
 def saved_profile_copy(path: str, tmp_path) -> str:
     import shutil

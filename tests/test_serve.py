@@ -107,8 +107,10 @@ class TestStore:
         store.ingest("nw", blobs[0])
         [ref] = store.leaves("nw")
         ref.path.write_bytes(b"rotted")
+        # A reopened store has no live rollup, so compaction decodes from disk.
+        reopened = ProfileStore(tmp_path / "s", shards=1)
         with pytest.raises(ServeError, match="unreadable"):
-            store.compact("nw")
+            reopened.compact("nw")
 
     def test_stats_counts_uncompacted(self, tmp_path, blobs):
         store = ProfileStore(tmp_path / "s", shards=2)

@@ -1,11 +1,12 @@
-"""Streaming compaction: bounded decoded profiles, clean mid-stream failure.
+"""Rebuilding compaction: bounded decoded profiles, clean mid-stream failure.
 
-``ProfileStore.compact`` folds ``[rollup] + fresh leaves`` through
-``merge_profiles`` one input at a time, decoding each leaf just before
-it merges.  Pinned here: however many leaves are pending, only a couple
-of decoded profiles are alive at any decode; and a leaf that rots in
-the middle of a batch fails the compaction before anything is written,
-leaving rollup, generation and watermark untouched.
+A reopened store has no live rollup, so ``ProfileStore.compact``
+rebuilds it from disk: it folds ``[rollup] + fresh leaves`` one input
+at a time, decoding each leaf just before it folds.  Pinned here:
+however many leaves are pending, only a couple of decoded profiles are
+alive at any decode; and a leaf that rots in the middle of a batch
+fails the compaction before anything is written, leaving rollup,
+generation and watermark untouched.
 """
 
 from __future__ import annotations
@@ -49,18 +50,19 @@ def test_compaction_holds_a_bounded_number_of_decoded_profiles(
     _ingest(store, blobs, 2)
     store.compact(APP)
     _ingest(store, blobs, 20)
+    store = ProfileStore(tmp_path / "s", shards=2)  # reopened: rebuilds from disk
 
-    decode = ProfileDB.from_bytes.__func__
+    decode = ProfileDB.merged_from_bytes.__func__
     decoded: list[weakref.ref] = []
     alive_at_call: list[int] = []
 
-    def tracking_from_bytes(cls, data):
+    def tracking_decode(cls, data, name):
         alive_at_call.append(sum(1 for ref in decoded if ref() is not None))
-        db = decode(cls, data)
+        db = decode(cls, data, name)
         decoded.append(weakref.ref(db))
         return db
 
-    monkeypatch.setattr(ProfileDB, "from_bytes", classmethod(tracking_from_bytes))
+    monkeypatch.setattr(ProfileDB, "merged_from_bytes", classmethod(tracking_decode))
     result = store.compact(APP)
     monkeypatch.undo()
 
@@ -76,6 +78,7 @@ def test_leaf_rotting_mid_batch_leaves_store_unchanged(tmp_path, blobs):
     store.compact(APP)
     _ingest(store, blobs, 5)
     store.leaves(APP)[4].path.write_bytes(b"rotted")  # third fresh leaf
+    store = ProfileStore(tmp_path / "s", shards=2)  # reopened: rebuilds from disk
     before = _snapshot(store)
 
     with pytest.raises(ServeError, match="unreadable"):
