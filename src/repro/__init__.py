@@ -42,6 +42,7 @@ from repro.machine import (
     tiny_machine,
 )
 from repro.sim import (
+    Hook,
     SimProcess,
     SimThread,
     Ctx,
@@ -93,6 +94,7 @@ __all__ = [
     "amd_magnycours",
     "intel_ivybridge",
     "tiny_machine",
+    "Hook",
     "SimProcess",
     "SimThread",
     "Ctx",

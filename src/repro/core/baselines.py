@@ -14,7 +14,8 @@
    cluster with a large number of nodes" (the paper's terabyte-at-Sequoia
    argument), and that the CCT representation avoids.
 
-Both reuse the same hook interface as the real profiler, so they can be
+Both are :class:`~repro.sim.hook.Hook` subclasses like the real
+profiler, overriding only the events they record, so they can be
 attached to the same runs for side-by-side comparisons.
 """
 
@@ -27,11 +28,11 @@ from typing import TYPE_CHECKING
 from repro.core.cct import CCT
 from repro.core.metrics import MetricKind
 from repro.core.unwind import unwind_keys
+from repro.sim.hook import Hook
 from repro.util.fmt import pct
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pmu.sample import Sample
-    from repro.sim.loader import LoadModule
     from repro.sim.process import SimProcess
     from repro.sim.thread import SimThread
 
@@ -52,27 +53,17 @@ class LineCost:
     share: float
 
 
-class CodeCentricProfiler:
+class CodeCentricProfiler(Hook):
     """Instruction/context attribution only — no variable resolution."""
 
     def __init__(self, process: "SimProcess") -> None:
         self.process = process
         self.cct = CCT("code")
         self.samples = 0
-        self._attached = False
 
     def attach(self) -> "CodeCentricProfiler":
-        if not self._attached:
-            self.process.hooks.append(self)
-            self._attached = True
+        self.process.attach(self)
         return self
-
-    # Hook interface (allocator events are invisible to a code-centric tool).
-    def on_module_load(self, process, module: "LoadModule") -> None: ...
-    def on_module_unload(self, process, module: "LoadModule") -> None: ...
-    def on_thread_create(self, process, thread: "SimThread") -> None: ...
-    def on_alloc(self, process, thread, addr, nbytes, ip, kind, var=None) -> None: ...
-    def on_free(self, process, thread, addr) -> None: ...
 
     def on_sample(self, process: "SimProcess", thread: "SimThread", sample: "Sample") -> None:
         self.on_samples(process, thread, sample, 1)
@@ -124,7 +115,7 @@ _SAMPLE_RECORD = struct.calcsize("<QQQIIB")  # time, ip, ea, thread, latency, fl
 _FRAME_RECORD = struct.calcsize("<Q")       # one call-path frame per record
 
 
-class TracingProfiler:
+class TracingProfiler(Hook):
     """MemProf-style data-centric *tracer*: one record per event.
 
     Attribution quality matches the real profiler (the trace contains
@@ -142,19 +133,12 @@ class TracingProfiler:
         self.free_records = 0
         self.sample_records = 0
         self.frame_records = 0
-        self._attached = False
 
     def attach(self) -> "TracingProfiler":
-        if not self._attached:
-            self.process.hooks.append(self)
-            self._attached = True
+        self.process.attach(self)
         return self
 
-    def on_module_load(self, process, module) -> None: ...
-    def on_module_unload(self, process, module) -> None: ...
-    def on_thread_create(self, process, thread) -> None: ...
-
-    def on_alloc(self, process, thread, addr, nbytes, ip, kind, var=None) -> None:
+    def on_alloc(self, process, thread, addr, nbytes, callsite_ip, kind, var=None) -> None:
         self.alloc_records += 1
         if self.record_call_paths:
             self.frame_records += len(thread.frames) + 1

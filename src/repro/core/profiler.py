@@ -1,6 +1,7 @@
 """The online data-centric call path profiler (paper §4.1).
 
-One :class:`DataCentricProfiler` attaches to one process and observes:
+One :class:`DataCentricProfiler` attaches to one process as a
+:class:`~repro.sim.hook.Hook` and observes:
 
 - PMU samples (``on_sample``): unwinds the thread's call stack, corrects
   the leaf to the PMU's precise IP, resolves the effective address
@@ -47,11 +48,13 @@ from repro.core.varmap import (
     StaticDataMap,
     static_var_entry,
 )
+from repro.sim.hook import Hook
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.pmu.sample import Sample
     from repro.sim.loader import LoadModule
     from repro.sim.process import SimProcess
+    from repro.sim.program import Function
     from repro.sim.thread import SimThread
 
 __all__ = ["DataCentricProfiler", "ProfilerConfig"]
@@ -102,7 +105,7 @@ class ProfilerStats:
     frames_reused: int = 0
 
 
-class DataCentricProfiler:
+class DataCentricProfiler(Hook):
     """Per-process online profiler; install with ``attach()``."""
 
     def __init__(self, process: "SimProcess", config: ProfilerConfig | None = None) -> None:
@@ -122,29 +125,24 @@ class DataCentricProfiler:
         # mutate a node's ``info`` in place.
         self._frame_entries: dict[tuple, PathEntry] = {}
         self._leaf_entries: dict[int, PathEntry] = {}
-        self._attached = False
 
     # -- lifecycle ---------------------------------------------------------
 
     def attach(self) -> "DataCentricProfiler":
-        """Install hooks into the process (idempotent).
+        """Attach to the process (idempotent).
 
-        Module hooks do not fire while detached, so every attach maps the
-        modules loaded now afresh and drops the sample-path memo.
+        Module events do not arrive while detached, so every attach maps
+        the modules loaded now afresh and drops the sample-path memo.
         """
-        if not self._attached:
-            self.process.hooks.append(self)
+        if self.process.attach(self):
             self.static_map = StaticDataMap()
             for module in self.process.modules:
                 self.static_map.on_load(module)
             self._clear_path_memo()
-            self._attached = True
         return self
 
     def detach(self) -> None:
-        if self._attached:
-            self.process.hooks.remove(self)
-            self._attached = False
+        self.process.detach(self)
 
     def profile_for(self, thread: "SimThread") -> ThreadProfile:
         profile = self._thread_profiles.get(thread.name)
@@ -180,21 +178,11 @@ class DataCentricProfiler:
         self._clear_path_memo()
         self.static_map.on_unload(module)
 
-    def on_thread_create(self, process: "SimProcess", thread: "SimThread") -> None:
-        # Thread state is created lazily on first use.
-        return
-
     # -- hook: allocator ----------------------------------------------------------
 
     def on_alloc(
-        self,
-        process: "SimProcess",
-        thread: "SimThread",
-        addr: int,
-        nbytes: int,
-        callsite_ip: int,
-        kind: str,
-        var: str | None = None,
+        self, process: "SimProcess", thread: "SimThread", addr: int, nbytes: int,
+        callsite_ip: int, kind: str, var: str | None = None,
     ) -> None:
         cfg = self.config
         self.stats.allocs_seen += 1
@@ -245,14 +233,8 @@ class DataCentricProfiler:
         self._charge(thread, self.config.free_wrap_cost)
 
     def on_stack_alloc(
-        self,
-        process: "SimProcess",
-        thread: "SimThread",
-        name: str,
-        addr: int,
-        nbytes: int,
-        fn,
-        line: int,
+        self, process: "SimProcess", thread: "SimThread", name: str, addr: int, nbytes: int,
+        fn: "Function", line: int,
     ) -> None:
         if not self.config.track_stack:
             return

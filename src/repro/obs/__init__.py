@@ -106,8 +106,7 @@ class ObsSession:
 
     def attach(self, process: "SimProcess") -> ObsAgent:
         agent = ObsAgent(self, process)
-        process.hooks.append(agent)
-        process.obs = agent
+        process.attach(agent)
         self.agents.append(agent)
         return agent
 

@@ -1,11 +1,11 @@
 """Per-process observability agent (the sim-time half of the tracer).
 
 One :class:`ObsAgent` attaches to one :class:`~repro.sim.process.SimProcess`
-as an ordinary hook (same list the profiler sits in) plus the
-``process.obs`` back-pointer that ``SimProcess.phase`` consults.  It
-records *sim-time* spans — phases, ``Ctx.parallel`` regions, MPI ranks,
-malloc lifetimes — with timestamps derived purely from simulated cycles,
-so traces are as deterministic as the profiles themselves.
+as an ordinary :class:`~repro.sim.hook.Hook`, next to the profiler.  It
+records *sim-time* spans — phases (``on_phase``), ``Ctx.parallel``
+regions, MPI ranks (``on_rank_complete``), malloc lifetimes — with
+timestamps derived purely from simulated cycles, so traces are as
+deterministic as the profiles themselves.
 
 The agent is strictly read-only with respect to simulation state: it
 never touches thread clocks, machine counters, or the heap, which is
@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.sim.hook import Hook
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import ObsSession
-    from repro.sim.loader import LoadModule
     from repro.sim.process import SimProcess
     from repro.sim.thread import SimThread
 
@@ -36,7 +37,7 @@ if TYPE_CHECKING:  # pragma: no cover
 SIM_PID_BASE = 1
 
 
-class ObsAgent:
+class ObsAgent(Hook):
     """Hook recording sim-time spans and end-of-run metrics for a process."""
 
     def __init__(self, session: "ObsSession", process: "SimProcess") -> None:
@@ -59,13 +60,7 @@ class ObsAgent:
     def _us(self, cycles: int) -> float:
         return self.process.machine.cycles_to_seconds(cycles) * 1e6
 
-    # -- required hook protocol (no-ops where we have nothing to record) -----
-
-    def on_module_load(self, process: "SimProcess", module: "LoadModule") -> None:
-        return
-
-    def on_module_unload(self, process: "SimProcess", module: "LoadModule") -> None:
-        return
+    # -- hook events -----------------------------------------------------------
 
     def on_thread_create(self, process: "SimProcess", thread: "SimThread") -> None:
         self.session.trace.thread_name(
@@ -76,14 +71,8 @@ class ObsAgent:
         self.samples_seen += 1
 
     def on_alloc(
-        self,
-        process: "SimProcess",
-        thread: "SimThread",
-        addr: int,
-        nbytes: int,
-        callsite_ip: int,
-        kind: str,
-        var: str | None = None,
+        self, process: "SimProcess", thread: "SimThread", addr: int, nbytes: int,
+        callsite_ip: int, kind: str, var: str | None = None,
     ) -> None:
         if not self.session.config.trace_malloc:
             return
@@ -94,8 +83,6 @@ class ObsAgent:
         if entry is None:
             return
         self._emit_malloc_span(addr, entry, end_cycles=thread.clock)
-
-    # -- optional hook protocol ---------------------------------------------
 
     def on_samples(
         self, process: "SimProcess", thread: "SimThread", sample, count: int
@@ -120,8 +107,6 @@ class ObsAgent:
             tid=0,
             args={"n_threads": n_threads, "cycles": end - start},
         )
-
-    # -- calls from SimProcess / MPIJob (not part of the hook list) ---------
 
     def on_phase(
         self, process: "SimProcess", name: str, start_cycles: int, end_cycles: int
@@ -230,49 +215,35 @@ class ObsAgent:
                 f"repro_derived_{name}", value, labels,
                 help_text=REGISTRY.node_doc(name) or "derived metric node",
             )
-        contention = getattr(hierarchy, "contention", None)
-        if contention is not None:
-            metrics.set_gauge(
-                "repro_machine_contention_queue_cycles",
-                result["queue_bound"], labels,
-                help_text="cycles spent queued on DRAM contention",
-            )
+        metrics.set_gauge(
+            "repro_machine_contention_queue_cycles", result["queue_bound"], labels,
+            help_text="cycles spent queued on DRAM contention",
+        )
 
-        # Heap layer: allocator occupancy (also sanitizer quarantine below).
-        heap = getattr(process.aspace, "heap", None)
-        if heap is not None:
-            for name, attr in (
-                ("repro_heap_live_bytes", "live_bytes"),
-                ("repro_heap_peak_bytes", "peak_bytes"),
-                ("repro_heap_alloc_count", "alloc_count"),
-                ("repro_heap_free_count", "free_count"),
-            ):
-                value = getattr(heap, attr, None)
-                if value is not None:
-                    metrics.set_gauge(
-                        name, value, labels, help_text="heap allocator state"
-                    )
-            quarantine = getattr(heap, "quarantine_bytes", None)
-            if quarantine is not None:
-                metrics.set_gauge(
-                    "repro_sanitizer_quarantine_bytes", quarantine, labels,
-                    help_text="bytes held in the sanitizer free-quarantine",
-                )
+        # Heap layer: allocator occupancy and the sanitizer's quarantine.
+        heap = process.aspace.heap
+        for attr in ("live_bytes", "peak_bytes", "alloc_count", "free_count"):
+            metrics.set_gauge(
+                f"repro_heap_{attr}", getattr(heap, attr), labels,
+                help_text="heap allocator state",
+            )
+        metrics.set_gauge(
+            "repro_sanitizer_quarantine_bytes", heap.quarantine_bytes, labels,
+            help_text="bytes held in the sanitizer free-quarantine",
+        )
 
         # Sanitizer layer (only when a sanitize session installed one).
-        sanitizer = getattr(process, "sanitizer", None)
+        sanitizer = process.sanitizer
         if sanitizer is not None:
-            for key, value in sorted(getattr(sanitizer, "stats", {}).items()):
+            for key, value in sorted(sanitizer.stats.items()):
                 metrics.set_gauge(
                     f"repro_sanitizer_{key}", value, labels,
                     help_text="sanitizer activity counter",
                 )
-            findings = getattr(sanitizer, "findings", None)
-            if findings is not None:
-                metrics.set_gauge(
-                    "repro_sanitizer_findings", len(findings), labels,
-                    help_text="sanitizer findings for this process",
-                )
+            metrics.set_gauge(
+                "repro_sanitizer_findings", len(sanitizer.findings), labels,
+                help_text="sanitizer findings for this process",
+            )
 
         # Simulator layer.
         metrics.set_gauge(

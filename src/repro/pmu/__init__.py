@@ -1,6 +1,8 @@
 """Simulated performance-monitoring units.
 
-Three engines mirror the hardware mechanisms of paper §3:
+Each engine builds on :class:`~repro.pmu.engine.SamplingEngine` and
+delivers samples through the :class:`~repro.sim.hook.Hook` events.
+Three mirror the hardware mechanisms of paper §3:
 
 - :class:`~repro.pmu.ibs.IBSEngine` — AMD instruction-based sampling:
   every N-th instruction is monitored; memory instructions yield precise
@@ -11,9 +13,13 @@ Three engines mirror the hardware mechanisms of paper §3:
 - :class:`~repro.pmu.ebs.EBSEngine` — plain event-based sampling with
   *IP skid*, to demonstrate why the precise-IP correction of §4.1.2 is
   needed on out-of-order processors.
+
+:class:`~repro.pmu.pebs.PEBSEngine` adds the Intel load-latency port §7
+mentions.
 """
 
 from repro.pmu.sample import Sample
+from repro.pmu.engine import SamplingEngine
 from repro.pmu.events import (
     EVENT_PREDICATES,
     IBS_EVENT,
@@ -29,6 +35,7 @@ from repro.pmu.pebs import PEBSEngine
 
 __all__ = [
     "Sample",
+    "SamplingEngine",
     "EVENT_PREDICATES",
     "IBS_EVENT",
     "PM_MRK_DATA_FROM_RMEM",

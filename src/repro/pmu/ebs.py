@@ -15,8 +15,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
+from repro.pmu.engine import SamplingEngine
 from repro.pmu.sample import Sample
-from repro.util.rng import DeterministicRNG, jitter_bounds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import SimProcess
@@ -40,7 +40,7 @@ class _Pending:
         self.remaining = remaining
 
 
-class EBSEngine:
+class EBSEngine(SamplingEngine):
     """Event-based sampling of memory ops with modelled interrupt skid."""
 
     def __init__(
@@ -50,33 +50,14 @@ class EBSEngine:
         seed: int = 0xEB5,
         jitter: float = 0.125,
     ) -> None:
-        if period < 1:
-            raise ConfigError("EBS period must be >= 1")
+        super().__init__("EBS", period, seed, jitter)
         if skid < 0:
             raise ConfigError("skid must be >= 0")
-        self.period = period
         self.skid = skid
-        self.jitter = jitter
-        self.rng = DeterministicRNG(seed)
-        lo, hi = jitter_bounds(period, jitter)
-        self._jitter_lo = lo
-        self._jitter_span = hi - lo + 1
-        self.samples_taken = 0
-
-    def _next_countdown(self) -> int:
-        """A fresh jittered period (what ``rng.geometric_jitter`` draws)."""
-        return self._jitter_lo + self.rng.next_u64() % self._jitter_span
 
     def note_mem(
-        self,
-        process: "SimProcess",
-        thread: "SimThread",
-        ip: int,
-        ea: int,
-        latency: int,
-        level: int,
-        tlb_miss: bool,
-        is_store: bool,
+        self, process: "SimProcess", thread: "SimThread", ip: int, ea: int, latency: int,
+        level: int, tlb_miss: bool, is_store: bool,
     ) -> None:
         pending: _Pending | None = thread.pmu_pending
         if pending is not None:
@@ -127,7 +108,7 @@ class EBSEngine:
     ) -> None:
         self.samples_taken += 1
         sample = Sample(
-            "EBS", pending.ip, interrupt_ip, pending.ea, pending.latency,
+            self.event, pending.ip, interrupt_ip, pending.ea, pending.latency,
             pending.level, pending.tlb_miss, pending.is_store, self.period,
         )
         for hook in process.hooks:

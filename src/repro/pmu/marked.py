@@ -13,9 +13,9 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
+from repro.pmu.engine import SamplingEngine
 from repro.pmu.events import EVENT_PREDICATES
 from repro.pmu.sample import Sample
-from repro.util.rng import DeterministicRNG, jitter_bounds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import SimProcess
@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["MarkedEventEngine"]
 
 
-class MarkedEventEngine:
+class MarkedEventEngine(SamplingEngine):
     """Marked-event sampling for one event with a count threshold."""
 
     def __init__(self, event: str, period: int = 64, seed: int = 0x5EED, jitter: float = 0.45) -> None:
@@ -33,33 +33,13 @@ class MarkedEventEngine:
             raise ConfigError(
                 f"unknown marked event {event!r}; known: {sorted(EVENT_PREDICATES)}"
             )
-        if period < 1:
-            raise ConfigError("marked-event period must be >= 1")
-        self.event = event
-        self.period = period
-        self.jitter = jitter
+        super().__init__(event, period, seed, jitter)
         self._predicate = predicate
-        self.rng = DeterministicRNG(seed)
-        lo, hi = jitter_bounds(period, jitter)
-        self._jitter_lo = lo
-        self._jitter_span = hi - lo + 1
-        self.samples_taken = 0
         self.events_counted = 0
 
-    def _next_countdown(self) -> int:
-        """A fresh jittered period (what ``rng.geometric_jitter`` draws)."""
-        return self._jitter_lo + self.rng.next_u64() % self._jitter_span
-
     def note_mem(
-        self,
-        process: "SimProcess",
-        thread: "SimThread",
-        ip: int,
-        ea: int,
-        latency: int,
-        level: int,
-        tlb_miss: bool,
-        is_store: bool,
+        self, process: "SimProcess", thread: "SimThread", ip: int, ea: int, latency: int,
+        level: int, tlb_miss: bool, is_store: bool,
     ) -> None:
         if not self._predicate(level, latency, tlb_miss):
             return
@@ -81,5 +61,4 @@ class MarkedEventEngine:
             hook.on_sample(process, thread, sample)
 
     def note_compute(self, process: "SimProcess", thread: "SimThread", n: int) -> None:
-        # Marked data-source events never fire on non-memory instructions.
-        return
+        """Marked data-source events never fire on non-memory instructions."""

@@ -13,8 +13,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigError
+from repro.pmu.engine import SamplingEngine
 from repro.pmu.sample import Sample
-from repro.util.rng import DeterministicRNG, jitter_bounds
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import SimProcess
@@ -23,7 +23,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["PEBSEngine"]
 
 
-class PEBSEngine:
+class PEBSEngine(SamplingEngine):
     """Precise load-latency sampling with a minimum-latency filter."""
 
     def __init__(
@@ -34,35 +34,18 @@ class PEBSEngine:
         jitter: float = 0.45,
         sample_stores: bool = False,
     ) -> None:
-        if period < 1:
-            raise ConfigError("PEBS period must be >= 1")
+        super().__init__(
+            f"MEM_TRANS_RETIRED.LOAD_LATENCY_GT_{latency_threshold}", period, seed, jitter
+        )
         if latency_threshold < 0:
             raise ConfigError("latency threshold must be >= 0")
-        self.period = period
         self.latency_threshold = latency_threshold
-        self.jitter = jitter
         self.sample_stores = sample_stores
-        self.rng = DeterministicRNG(seed)
-        lo, hi = jitter_bounds(period, jitter)
-        self._jitter_lo = lo
-        self._jitter_span = hi - lo + 1
-        self.samples_taken = 0
         self.events_counted = 0
 
-    def _next_countdown(self) -> int:
-        """A fresh jittered period (what ``rng.geometric_jitter`` draws)."""
-        return self._jitter_lo + self.rng.next_u64() % self._jitter_span
-
     def note_mem(
-        self,
-        process: "SimProcess",
-        thread: "SimThread",
-        ip: int,
-        ea: int,
-        latency: int,
-        level: int,
-        tlb_miss: bool,
-        is_store: bool,
+        self, process: "SimProcess", thread: "SimThread", ip: int, ea: int, latency: int,
+        level: int, tlb_miss: bool, is_store: bool,
     ) -> None:
         if is_store and not self.sample_stores:
             return
@@ -80,12 +63,10 @@ class PEBSEngine:
         self.samples_taken += 1
         # PEBS records are precise: the interrupt IP is the sampled IP.
         sample = Sample(
-            f"MEM_TRANS_RETIRED.LOAD_LATENCY_GT_{self.latency_threshold}",
-            ip, ip, ea, latency, level, tlb_miss, is_store, self.period,
+            self.event, ip, ip, ea, latency, level, tlb_miss, is_store, self.period
         )
         for hook in process.hooks:
             hook.on_sample(process, thread, sample)
 
     def note_compute(self, process: "SimProcess", thread: "SimThread", n: int) -> None:
-        # Load-latency events never fire on non-memory instructions.
-        return
+        """Load-latency events never fire on non-memory instructions."""

@@ -52,7 +52,7 @@ __all__ = [
     "SanitizerConfig",
     "SanitizerReport",
     "VariableRef",
-    "maybe_install",
+    "maybe_attach",
     "parse_fail_on",
     "sanitizing",
 ]
@@ -66,8 +66,7 @@ class SanitizeSession:
         self.sanitizers: list[Sanitizer] = []
 
     def attach(self, process: "SimProcess") -> Sanitizer:
-        sanitizer = Sanitizer(process, self.config)
-        sanitizer.install()
+        sanitizer = Sanitizer(process, self.config).install()
         self.sanitizers.append(sanitizer)
         return sanitizer
 
@@ -103,7 +102,7 @@ def sanitizing(config: SanitizerConfig | None = None) -> Iterator[SanitizeSessio
         _ACTIVE = None
 
 
-def maybe_install(process: "SimProcess") -> None:
+def maybe_attach(process: "SimProcess") -> None:
     """Called by ``SimProcess.__init__``; attaches only inside a session."""
     if _ACTIVE is not None:
         _ACTIVE.attach(process)

@@ -1,12 +1,12 @@
-"""The per-process sanitizer: hook protocol + access-check fast paths.
+"""The per-process sanitizer: a hook plus access-check fast paths.
 
-One :class:`Sanitizer` attaches to one :class:`repro.sim.SimProcess`.  It
-participates in the ordinary ``process.hooks`` observer protocol (like
-the profiler) for the rare events — alloc, free, module load, region
-begin/end — and additionally exposes ``on_access``/``on_access_run``,
-which :class:`repro.sim.runtime.Ctx` calls directly on its memory fast
-path when ``process.sanitizer`` is non-None.  When no sanitizer is
-installed that fast path costs a single is-None branch per access.
+One :class:`Sanitizer` attaches to one :class:`repro.sim.SimProcess` as a
+:class:`~repro.sim.hook.Hook` for the rare events — alloc, free, module
+load, region begin/end — and ignores samples.  Its checks validate
+rather than observe, so they stay outside the hook protocol:
+:class:`repro.sim.runtime.Ctx` calls ``on_access``/``on_access_run`` on
+its memory fast path, and ``check_free`` before any hook hears of a free,
+when ``process.sanitizer`` is non-None (one is-None branch per access).
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.sanitize.report import (
     VariableRef,
 )
 from repro.sanitize.shadow import S_FREED, S_LIVE, S_REDZONE, ShadowBlock, ShadowHeap
+from repro.sim.hook import Hook
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.process import SimProcess
@@ -54,7 +55,7 @@ class SanitizerConfig:
     max_findings_per_kind: int = 64
 
 
-class Sanitizer:
+class Sanitizer(Hook):
     """Shadow-memory + race checking for one simulated process."""
 
     def __init__(self, process: "SimProcess", config: SanitizerConfig) -> None:
@@ -85,14 +86,14 @@ class Sanitizer:
     # -- lifecycle ----------------------------------------------------------
 
     def install(self) -> "Sanitizer":
-        """Attach to the process: hooks, heap redzones/quarantine, fast path."""
+        """Attach to the process: hook, heap redzones/quarantine, fast path."""
         heap = self._heap
         heap.redzone = self.config.redzone
         heap.quarantine_capacity = self.config.quarantine_capacity
         heap.set_evict_hook(self._on_quarantine_evict)
         for module in self.process.modules:
             self._statics.on_load(module)
-        self.process.hooks.append(self)
+        self.process.attach(self)
         self.process.sanitizer = self
         return self
 
@@ -360,19 +361,8 @@ class Sanitizer:
                 ),
             )
 
-    # -- uninteresting hook events -------------------------------------------
-
     def on_module_load(self, process, module) -> None:
         self._statics.on_load(module)
 
     def on_module_unload(self, process, module) -> None:
         self._statics.on_unload(module)
-
-    def on_thread_create(self, process, thread) -> None:
-        pass
-
-    def on_sample(self, process, thread, sample) -> None:
-        pass
-
-    def on_samples(self, process, thread, sample, count) -> None:
-        pass

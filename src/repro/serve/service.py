@@ -323,6 +323,11 @@ class ProfileService:
         except (ServeError, ProfileError) as exc:
             self._reject(app, getattr(exc, "reason", "error"))
             return STATUS_ERROR, {"error": str(exc)}
+        except OSError as exc:
+            # A failed store write (a full disk, say) fails this request
+            # alone; the connection and the writer stay up.
+            self._reject(app, "store-io")
+            return STATUS_ERROR, {"error": f"store I/O error: {exc}"}
         finally:
             elapsed_s = (clock.now_us() - start) / 1e6
             self._metric().observe(
@@ -380,7 +385,9 @@ class ProfileService:
             raise ServeError("query payload must be a JSON object")
         view = str(params.get("view", "status"))
         metric = str(params.get("metric", "latency"))
-        n = int(params.get("n", 10))
+        n = params.get("n", 10)
+        if type(n) is not int or n < 1:
+            raise ServeError(f"query n must be a JSON integer >= 1, got {n!r}")
         clock = self.session.clock
         start = clock.now_us()
         result = self.engine.query(app, view, metric=metric, n=n)

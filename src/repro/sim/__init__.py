@@ -16,6 +16,7 @@ from repro.sim.address_space import AddressSpace
 from repro.sim.malloc import HeapAllocator
 from repro.sim.arrays import SimArray
 from repro.sim.thread import SimThread, Frame
+from repro.sim.hook import Hook
 from repro.sim.process import SimProcess
 from repro.sim.runtime import Ctx
 from repro.sim.openmp import omp_chunk, omp_chunks, outlined_name, parse_outlined
@@ -31,6 +32,7 @@ __all__ = [
     "SimArray",
     "SimThread",
     "Frame",
+    "Hook",
     "SimProcess",
     "Ctx",
     "omp_chunk",

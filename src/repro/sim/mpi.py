@@ -115,8 +115,8 @@ class MPIJob:
         process = SimProcess(machine, pid=rank, pin_base=pin_base)
         attachment = attach(process) if attach is not None else None
         rank_main(process, rank, self.n_ranks)
-        if process.obs is not None:
-            process.obs.on_rank_complete(process)
+        for hook in process.hooks:
+            hook.on_rank_complete(process)
         return RankResult(
             rank=rank,
             process=process,

@@ -3,8 +3,9 @@
 One :class:`SimProcess` corresponds to one MPI rank (or the single
 process of a pure-OpenMP run).  It owns the master thread, a persistent
 OpenMP worker pool (workers keep their identity across parallel regions,
-like a real runtime's thread pool), the loaded modules, and the list of
-attached measurement hooks (the profiler).
+like a real runtime's thread pool), the loaded modules, and the attached
+measurement hooks (:class:`~repro.sim.hook.Hook`: the profiler, the
+sanitizer, the obs agent), which it and its emitters call directly.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from typing import TYPE_CHECKING, Callable, Generator
 from repro.errors import ConfigError, SimulationError
 from repro.machine.presets import Machine
 from repro.sim.address_space import AddressSpace
+from repro.sim.hook import Hook
 from repro.sim.loader import LoadModule
 from repro.sim.scheduler import drive
 from repro.sim.thread import SimThread
@@ -52,10 +54,10 @@ class SimProcess:
             heap_capacity=heap_capacity,
         )
         self.modules: list[LoadModule] = []
-        self.hooks: list = []  # profiler-style observers
+        # Attached observers in attach order; only attach/detach replace it.
+        self.hooks: tuple[Hook, ...] = ()
         self.pmu = None  # PMU engine shared by all threads of this process
         self.sanitizer = None  # set by repro.sanitize when a session is active
-        self.obs = None  # set by repro.obs when a session is active
 
         topo = machine.topology
         self.master = SimThread(
@@ -71,17 +73,28 @@ class SimProcess:
         self._phase: str | None = None
         self.quantum = 2
 
-        # Sanitizer activation seam: only consulted when repro.sanitize has
-        # actually been imported, so runs that never touch the subsystem pay
-        # one dict lookup per process — and zero per access.
-        san_mod = sys.modules.get("repro.sanitize")
-        if san_mod is not None:
-            san_mod.maybe_install(self)
-        # Observability uses the same seam; agents are read-only observers,
-        # so attaching one never perturbs profiles.
-        obs_mod = sys.modules.get("repro.obs")
-        if obs_mod is not None:
-            obs_mod.maybe_attach(self)
+        # Activation seam of the sanitizer and obs sessions: a package is
+        # consulted only once it has been imported, so runs that never touch
+        # either pay a dict lookup per process, and nothing per access.
+        for package in ("repro.sanitize", "repro.obs"):
+            module = sys.modules.get(package)
+            if module is not None:
+                module.maybe_attach(self)
+
+    # -- hooks --------------------------------------------------------------
+
+    def attach(self, hook: Hook) -> bool:
+        """Attach ``hook`` after the others; False if it already is attached."""
+        if not isinstance(hook, Hook):
+            raise ConfigError(f"cannot attach {type(hook).__name__}: not a repro.sim.Hook")
+        if any(h is hook for h in self.hooks):
+            return False
+        self.hooks += (hook,)
+        return True
+
+    def detach(self, hook: Hook) -> None:
+        """Detach ``hook``; a no-op when it is not attached."""
+        self.hooks = tuple(h for h in self.hooks if h is not hook)
 
     # -- modules ------------------------------------------------------------
 
@@ -162,8 +175,8 @@ class SimProcess:
             prev = self.phase_stats.get(name)
             self.phase_stats[name] = delta if prev is None else prev + delta
             self._phase = outer
-            if self.obs is not None:
-                self.obs.on_phase(self, name, start, self.master.clock)
+            for hook in self.hooks:
+                hook.on_phase(self, name, start, self.master.clock)
 
     @property
     def elapsed_cycles(self) -> int:
@@ -217,9 +230,7 @@ class SimProcess:
         if n_threads < 1:
             raise ConfigError("parallel region needs >= 1 thread")
         for hook in self.hooks:
-            handler = getattr(hook, "on_parallel_begin", None)
-            if handler is not None:
-                handler(self, n_threads)
+            hook.on_parallel_begin(self, n_threads)
         callsite_ip = master_ctx.thread.current_function.ip(line)
         workers = []
         gens = []
@@ -245,6 +256,4 @@ class SimProcess:
         # detector relies on: everything after this point is ordered after
         # every access inside the region.
         for hook in self.hooks:
-            handler = getattr(hook, "on_parallel_end", None)
-            if handler is not None:
-                handler(self)
+            hook.on_parallel_end(self)

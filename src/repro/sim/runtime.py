@@ -394,17 +394,13 @@ class Ctx:
         addr = thread.stack_alloc(nbytes)
         fn = thread.current_function
         for hook in self.process.hooks:
-            handler = getattr(hook, "on_stack_alloc", None)
-            if handler is not None:
-                handler(self.process, thread, name, addr, nbytes, fn, line)
+            hook.on_stack_alloc(self.process, thread, name, addr, nbytes, fn, line)
         return addr
 
     def release_stack_var(self, addr: int) -> None:
         """Retire a named stack range (frame exit)."""
         for hook in self.process.hooks:
-            handler = getattr(hook, "on_stack_free", None)
-            if handler is not None:
-                handler(self.process, self.thread, addr)
+            hook.on_stack_free(self.process, self.thread, addr)
 
     # -- OpenMP / MPI -----------------------------------------------------------
 

@@ -19,6 +19,7 @@ from repro.core.derived import derive_from_machine, derive_from_profile
 from repro.core.stackmap import StackDataMap, StackVariable
 from repro.errors import ConfigError, ProfileError
 from repro.machine.hierarchy import LVL_L1, LVL_LMEM
+from repro.sim.hook import Hook
 from tests.conftest import MiniProgram
 
 
@@ -134,7 +135,7 @@ class TestStackAttribution:
 # ----------------------------------------------------------------------- PEBS
 
 
-class _Recorder:
+class _Recorder(Hook):
     def __init__(self):
         self.samples = []
 
@@ -152,7 +153,7 @@ class _FakeThread:
 
 class _FakeProcess:
     def __init__(self):
-        self.hooks = [_Recorder()]
+        self.hooks = (_Recorder(),)
 
 
 class TestPEBS:

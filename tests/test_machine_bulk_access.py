@@ -24,6 +24,7 @@ from repro.machine.presets import Machine, amd_magnycours_spec, tiny_spec
 from repro.machine.policies import Interleave
 from repro.pmu.ebs import EBSEngine
 from repro.pmu.ibs import IBSEngine
+from repro.sim.hook import Hook
 from tests.conftest import MiniProgram
 
 # ---------------------------------------------------------------------------
@@ -365,26 +366,11 @@ class TestDegenerateStrides:
 # Ctx-level equivalence (page chunking, first touch, PMU delivery)
 
 
-class _SampleRecorder:
+class _SampleRecorder(Hook):
     """Hook capturing the full delivered sample stream."""
 
     def __init__(self):
         self.samples = []
-
-    def on_module_load(self, process, module):
-        pass
-
-    def on_module_unload(self, process, module):
-        pass
-
-    def on_thread_create(self, process, thread):
-        pass
-
-    def on_alloc(self, process, thread, addr, nbytes, callsite_ip, kind, var=None):
-        pass
-
-    def on_free(self, process, thread, addr):
-        pass
 
     def on_sample(self, process, thread, sample):
         self.samples.append(
@@ -408,7 +394,7 @@ def _twin(pmu_factory=None, interleave=False):
         nodes = list(range(prog.machine.n_numa_nodes))
         prog.process.aspace.set_default_policy(Interleave(nodes))
     rec = _SampleRecorder()
-    prog.process.hooks.append(rec)
+    prog.process.attach(rec)
     if pmu_factory is not None:
         prog.process.pmu = pmu_factory()
     ctx = prog.master_ctx()
@@ -497,7 +483,7 @@ class TestCtxDifferential:
             prog = MiniProgram()
             profiler = DataCentricProfiler(prog.process).attach()
             rec = _SampleRecorder()
-            prog.process.hooks.append(rec)
+            prog.process.attach(rec)
             prog.process.pmu = EBSEngine(period=8, skid=3, seed=5)
             body(prog.master_ctx(), bulk)
             return rec.samples, _thread_state(prog), hierarchy_state(

@@ -23,6 +23,7 @@ from repro.errors import ConfigError, ObsError
 from repro.obs import (
     ManualClock,
     MetricsRegistry,
+    ObsAgent,
     ObsConfig,
     TraceWriter,
     WallClock,
@@ -380,17 +381,17 @@ class TestLabelKeyConsistency:
 class TestActivationSeam:
     def test_no_session_no_agent(self):
         prog = MiniProgram()
-        assert prog.process.obs is None
-        assert prog.process.hooks == []
+        assert not hasattr(prog.process, "obs")
+        assert prog.process.hooks == ()
         assert active_session() is None
 
     def test_session_attaches_agent_to_every_process(self):
         with observing() as session:
             a, b = MiniProgram(pid=0), MiniProgram(pid=1)
-        assert a.process.obs is not None
-        assert b.process.obs is not None
-        assert session.agents == [a.process.obs, b.process.obs]
-        assert a.process.obs in a.process.hooks
+        assert len(a.process.hooks) == len(b.process.hooks) == 1
+        assert all(isinstance(h, ObsAgent) for h in a.process.hooks + b.process.hooks)
+        assert session.agents == [a.process.hooks[0], b.process.hooks[0]]
+        assert [agent.process for agent in session.agents] == [a.process, b.process]
 
     def test_sessions_do_not_nest(self):
         with observing():
@@ -402,7 +403,7 @@ class TestActivationSeam:
         with observing():
             pass
         assert active_session() is None
-        assert MiniProgram().process.obs is None
+        assert MiniProgram().process.hooks == ()
 
     def test_profiles_byte_identical_with_subsystem_importable(self):
         # Mirror of the sanitizer's acceptance bar: a subprocess that never

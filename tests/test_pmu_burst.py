@@ -2,17 +2,18 @@
 
 ``IBSEngine.note_compute`` draws every period a compute block crosses,
 then hands the block's k identical non-memory samples to each hook at
-once: through the optional ``on_samples(process, thread, sample, k)``
-when the hook has it, as k ``on_sample`` calls when it does not.  Two
-halves pin it:
+once, in one ``on_samples(process, thread, sample, k)`` call; a hook
+that overrides only ``on_sample`` inherits the ``Hook`` default, k
+``on_sample`` calls.  Two halves pin it:
 
 - every built-in hook's ``on_samples(k)`` leaves exactly the state k
   ``on_sample`` calls leave;
 - the engine, differentially against the one-sample-at-a-time copy in
   ``tests/ibs_oracle.py``, on random mixed ``note_mem``/``note_compute``
   streams: same RNG state, countdowns and counters, the same sample
-  sequence at a hook without ``on_samples``, and the same profile bytes,
-  profiler stats and thread clocks with ``DataCentricProfiler`` attached.
+  sequence at a hook that overrides only ``on_sample``, and the same
+  profile bytes, profiler stats and thread clocks with
+  ``DataCentricProfiler`` attached.
 
 Only non-raising hooks are covered: a hook that raises mid-burst leaves
 the countdown past the whole block, where the oracle stops at the
@@ -37,6 +38,7 @@ from repro.pmu.events import IBS_EVENT
 from repro.pmu.ibs import IBSEngine
 from repro.pmu.sample import Sample
 from repro.sanitize.sanitizer import Sanitizer, SanitizerConfig
+from repro.sim.hook import Hook
 from tests.conftest import MiniProgram
 from tests.ibs_oracle import oracle_note_compute
 
@@ -146,8 +148,8 @@ def test_data_centric_burst_weights_one_path():
 # ------------------------------------------------------- engine vs oracle
 
 
-class _Recorder:
-    """A hook without ``on_samples``: every sample arrives as ``on_sample``."""
+class _Recorder(Hook):
+    """A hook overriding only ``on_sample``: every sample arrives there."""
 
     def __init__(self):
         self.samples: list = []
@@ -156,8 +158,8 @@ class _Recorder:
         self.samples.append((thread.name, len(thread.frames), sample))
 
 
-class _BurstSpy:
-    """A hook with ``on_samples``: records each call's weight."""
+class _BurstSpy(Hook):
+    """A hook overriding ``on_samples``: records each call's weight."""
 
     def __init__(self):
         self.bursts: list[int] = []
@@ -201,7 +203,7 @@ def _replay(program, burst: bool, with_profiler: bool) -> dict:
     worker.push_frame(prog.work, prog.main.ip(10))
     profiler = DataCentricProfiler(process).attach() if with_profiler else None
     recorder = _Recorder()
-    process.hooks.append(recorder)
+    process.attach(recorder)
     threads = (master, worker)
     eas = (prog.bss.address + 8, prog.bss.address + (1 << 20), 0x40)
     for kind, which, arg in ops:
@@ -248,7 +250,7 @@ class TestDirected:
         # periods from a fresh countdown (8, 16, 24) and carries 6.
         engine = IBSEngine(period=8, seed=1, jitter=0.0)
         spy = _BurstSpy()
-        mini.process.hooks.append(spy)
+        mini.process.attach(spy)
         thread = mini.master_ctx().thread
         engine.note_compute(mini.process, thread, 30)
         assert spy.bursts == [3]
@@ -262,7 +264,7 @@ class TestDirected:
     def test_hook_without_on_samples_sees_each_sample(self, mini):
         engine = IBSEngine(period=4, seed=9, jitter=0.0)
         recorder = _Recorder()
-        mini.process.hooks.append(recorder)
+        mini.process.attach(recorder)
         thread = mini.master_ctx().thread
         engine.note_compute(mini.process, thread, 4 * 6)
         assert len(recorder.samples) == 6 == engine.samples_taken

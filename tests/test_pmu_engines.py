@@ -16,9 +16,10 @@ from repro.pmu.events import (
 from repro.pmu.ibs import IBSEngine
 from repro.pmu.marked import MarkedEventEngine
 from repro.pmu.sample import Sample
+from repro.sim.hook import Hook
 
 
-class _Recorder:
+class _Recorder(Hook):
     """Minimal profiler hook capturing delivered samples."""
 
     def __init__(self):
@@ -38,7 +39,7 @@ class _FakeThread:
 
 class _FakeProcess:
     def __init__(self):
-        self.hooks = [_Recorder()]
+        self.hooks = (_Recorder(),)
 
     @property
     def recorder(self):
@@ -76,9 +77,9 @@ class TestIBS:
     def test_compute_only_yields_nonmem_samples(self, mini):
         engine = IBSEngine(period=16, seed=3)
         p = mini.process
-        p.hooks.clear()
         rec = _Recorder()
-        p.hooks.append(rec)
+        p.attach(rec)
+        assert p.hooks == (rec,)
         ctx = mini.master_ctx()
         for _ in range(40):
             engine.note_compute(p, ctx.thread, 10)
@@ -91,11 +92,11 @@ class TestIBS:
         p, t = _FakeProcess(), _FakeThread()
         positions = []
 
-        class Pos:
+        class Pos(Hook):
             def on_sample(self, process, thread, sample):
                 positions.append(sample.precise_ip)
 
-        p.hooks = [Pos()]
+        p.hooks = (Pos(),)
         _feed_mem(engine, p, t, 10_000)
         gaps = {b - a for a, b in zip(positions, positions[1:])}
         assert len(gaps) > 3  # not a fixed stride
@@ -188,9 +189,9 @@ class TestEBSSkid:
     def test_pending_sample_not_lost_with_compute_ops(self, mini):
         engine = EBSEngine(period=4, skid=5, seed=4)
         p = mini.process
-        p.hooks.clear()
         rec = _Recorder()
-        p.hooks.append(rec)
+        p.attach(rec)
+        assert p.hooks == (rec,)
         ctx = mini.master_ctx()
         t = ctx.thread
         # Trigger on memory ops, then only compute ops retire.

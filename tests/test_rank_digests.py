@@ -6,11 +6,12 @@ model, first-touch lookup, PMU delivery, sample attribution) must leave
 every simulated bit alone, so these values only change when a change
 means to change what a rank measures — and then this table says so.
 
-Three sets: rank 0 of 2 at the smoke preset for all five apps, the two
-IBS apps at 1/32 of their smoke sampling period (dense sampling, where
-PMU delivery and sample attribution dominate), and lulesh at 1/32 of its
-paper period — the rank the ``dense-sampling`` benchmark workload runs,
-where most samples reach the profiler as IBS compute-block bursts.
+Four sets, 14 ranks: rank 0 of 2 at the smoke and at the paper preset
+for all five apps, and the two IBS apps at 1/32 of their smoke and of
+their paper sampling period (dense sampling, where PMU delivery and
+sample attribution dominate).  The paper-preset dense ranks are the ones
+the ``dense-sampling`` benchmark workload runs, where most samples reach
+the profiler as IBS compute-block bursts.
 """
 
 from __future__ import annotations
@@ -31,6 +32,14 @@ SMOKE = {
     "sweep3d": "76fb41df3520",
 }
 
+PAPER = {
+    "amg2006": "70b659bb8c3a",
+    "lulesh": "b7babbb3a27a",
+    "nw": "6cbdee0e7639",
+    "streamcluster": "66d992fc27c8",
+    "sweep3d": "3e0985df0549",
+}
+
 # app -> (PMU period: the smoke preset's // 32, digest)
 DENSE_SMOKE = {
     "lulesh": (2, "acf69467f7f4"),
@@ -40,6 +49,7 @@ DENSE_SMOKE = {
 # app -> (PMU period: the paper preset's // 32, digest)
 DENSE_PAPER = {
     "lulesh": (8, "b14c04419d85"),
+    "sweep3d": (48, "d0873388426e"),
 }
 
 
@@ -50,6 +60,11 @@ def _digest(db) -> str:
 @pytest.mark.parametrize("app", sorted(SMOKE))
 def test_smoke_rank_digest(app):
     assert _digest(run_app_rank(app, 0, 2, preset="smoke")) == SMOKE[app]
+
+
+@pytest.mark.parametrize("app", sorted(PAPER))
+def test_paper_rank_digest(app):
+    assert _digest(run_app_rank(app, 0, 2, preset="paper")) == PAPER[app]
 
 
 @pytest.mark.parametrize("app", sorted(DENSE_SMOKE))

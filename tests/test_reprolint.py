@@ -325,6 +325,52 @@ class TestR010GcPolicy:
         assert "profiledb.py:2" not in out
 
 
+class TestR011HookLookup:
+    """Hook events are called directly inside src/repro, never probed for."""
+
+    def test_optional_event_lookup_flagged_when_restricted(self):
+        for src in (
+            "handler = getattr(hook, 'on_parallel_begin', None)\n",
+            "on_samples = getattr(hook, 'on_samples')\n",
+            "if hasattr(hook, 'on_stack_alloc'):\n    pass\n",
+        ):
+            assert _rules(src, hook_restricted=True) == ["R011"], src
+            assert _rules(src, hook_restricted=False) == [], src
+
+    def test_other_lookups_ok(self):
+        src = (
+            "stats = getattr(hook, 'stats', None)\n"
+            "value = getattr(heap, attr)\n"
+            "name = getattr(obj, 'one_more', 0)\n"
+            "hook.on_sample(process, thread, sample)\n"
+        )
+        assert _rules(src, hook_restricted=True) == []
+
+    def test_scope_is_all_of_library(self):
+        assert reprolint._in_repro(Path("src/repro/pmu/ibs.py"))
+        assert reprolint._in_repro(Path("src/repro/tools/hpcview.py"))
+        assert not reprolint._in_repro(Path("tests/test_pmu_burst.py"))
+        assert not reprolint._in_repro(Path("perfbench/tracer.py"))
+
+    def test_lint_paths_applies_scope(self, tmp_path, capsys):
+        sim = tmp_path / "src" / "repro" / "sim"
+        sim.mkdir(parents=True)
+        (sim / "process.py").write_text("h = getattr(hook, 'on_phase', None)\n")
+        tests = tmp_path / "tests"
+        tests.mkdir()
+        (tests / "test_x.py").write_text("h = getattr(hook, 'on_phase', None)\n")
+        cwd = os.getcwd()
+        os.chdir(tmp_path)
+        try:
+            status = reprolint.main(["src", "tests"])
+        finally:
+            os.chdir(cwd)
+        out = capsys.readouterr().out
+        assert status == 1
+        assert "process.py:1: R011" in out
+        assert "test_x.py" not in out
+
+
 class TestUnlintableFiles:
     """Undecodable or unreadable inputs are findings, not crashes."""
 

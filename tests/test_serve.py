@@ -198,6 +198,56 @@ class TestService:
             "repro_serve_ingest_total", {"app": "nw"}
         ) == 1
 
+    def test_store_io_error_fails_request_not_connection(
+        self, tmp_path, blobs, monkeypatch
+    ):
+        import repro.serve.store as store_mod
+
+        real_write = store_mod._atomic_write
+        failures = [OSError(28, "No space left on device")]
+
+        def flaky_write(path, data):
+            if failures:
+                raise failures.pop()
+            real_write(path, data)
+
+        monkeypatch.setattr(store_mod, "_atomic_write", flaky_write)
+
+        async def body(service, host, port):
+            async with ServeClient(host, port) as client:
+                with pytest.raises(ServeError, match="store I/O error"):
+                    await client.ingest("nw", blobs[0])
+                # Same connection: the next ingest is stored and acked.
+                seq = await client.ingest("nw", blobs[1])
+                assert [ref.seq for ref in service.store.leaves("nw")] == [seq]
+                await client.compact("nw")
+
+        service, session = _with_service(tmp_path, body, blobs)
+        assert service.store.rollup_bytes("nw") == _reference(blobs[1:2], "nw")
+        assert session.metrics.value(
+            "repro_serve_rejected_total", {"app": "nw", "reason": "store-io"}
+        ) == 1
+        assert session.metrics.value(
+            "repro_serve_ingest_total", {"app": "nw"}
+        ) == 1
+
+    def test_query_n_must_be_a_positive_json_integer(self, tmp_path, blobs):
+        bad = ["x", [1], 0, -3, 2.5, True]
+
+        async def body(service, host, port):
+            async with ServeClient(host, port) as client:
+                for n in bad:
+                    with pytest.raises(ServeError, match="n must be a JSON integer"):
+                        await client.query("nw", "bottomup", n=n)
+                # The connection survives every rejection.
+                status = await client.query("", "status")
+                assert "apps" in status
+
+        _, session = _with_service(tmp_path, body, blobs)
+        assert session.metrics.value(
+            "repro_serve_rejected_total", {"app": "nw", "reason": "error"}
+        ) == len(bad)
+
     def test_bad_magic_and_unknown_op(self, tmp_path, blobs):
         async def body(service, host, port):
             reader, writer = await asyncio.open_connection(host, port)

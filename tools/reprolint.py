@@ -45,6 +45,10 @@ Rules:
         ``from gc import`` of one of them) inside ``src/repro`` outside
         ``src/repro/core/profiledb.py`` — collector policy is one audited
         decision, the decoder's pause around its acyclic tree build
+  R011  optional hook-event lookup — ``getattr(obj, "on_...", ...)`` or
+        ``hasattr(obj, "on_...")`` — inside ``src/repro``: every hook
+        subclasses ``repro.sim.Hook``, which defines every event, so
+        emitters call events directly and never probe for them
 
 Files that cannot be linted are findings, not crashes: a syntax error,
 a non-UTF-8 byte sequence, or an unreadable file reports as ``R000``
@@ -105,6 +109,7 @@ class _Visitor(ast.NodeVisitor):
         obs_restricted: bool = False,
         threshold_restricted: bool = False,
         gc_restricted: bool = False,
+        hook_restricted: bool = False,
     ) -> None:
         self.path = path
         self.in_library = in_library  # under src/repro but not src/repro/tools
@@ -115,6 +120,8 @@ class _Visitor(ast.NodeVisitor):
         self.threshold_restricted = threshold_restricted
         # library code outside the decoder: no collector-state changes
         self.gc_restricted = gc_restricted
+        # library code (tools included): hook events are never looked up
+        self.hook_restricted = hook_restricted
         # names bound to the ``gc`` module (``import gc as collector``)
         self._gc_modules = {"gc"}
         # >0 while visiting the body of a ``static_model`` definition
@@ -254,6 +261,21 @@ class _Visitor(ast.NodeVisitor):
             and func.attr in _GC_STATE_CALLS
         ):
             self._add_gc(node.lineno, f"{func.value.id}.{func.attr}()")
+        # R011
+        if (
+            self.hook_restricted
+            and isinstance(func, ast.Name)
+            and func.id in ("getattr", "hasattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and isinstance(node.args[1].value, str)
+            and node.args[1].value.startswith("on_")
+        ):
+            self._add(
+                node.lineno, "R011",
+                f"optional hook lookup {func.id}(..., {node.args[1].value!r}) — "
+                "every hook subclasses repro.sim.Hook; call the event directly",
+            )
         # R009
         if (
             self._static_model_depth
@@ -345,6 +367,7 @@ def lint_source(
     obs_restricted: bool = False,
     threshold_restricted: bool = False,
     gc_restricted: bool = False,
+    hook_restricted: bool = False,
 ) -> list[tuple[int, str, str]]:
     """Lint one file's source text; returns (line, rule, message) findings."""
     try:
@@ -356,6 +379,7 @@ def lint_source(
         obs_restricted=obs_restricted,
         threshold_restricted=threshold_restricted,
         gc_restricted=gc_restricted,
+        hook_restricted=hook_restricted,
     )
     visitor.visit(tree)
     return sorted(visitor.findings)
@@ -380,11 +404,15 @@ def _classify(path: Path) -> tuple[bool, bool, bool, bool]:
     )
 
 
+def _in_repro(path: Path) -> bool:
+    """R011 scope: all of ``src/repro``."""
+    parts = path.as_posix()
+    return "src/repro/" in parts or parts.startswith("src/repro/")
+
+
 def _gc_restricted(path: Path) -> bool:
     """R010 scope: all of ``src/repro`` except the decoder's module."""
-    parts = path.as_posix()
-    in_repro = "src/repro/" in parts or parts.startswith("src/repro/")
-    return in_repro and not parts.endswith("repro/core/profiledb.py")
+    return _in_repro(path) and not path.as_posix().endswith("repro/core/profiledb.py")
 
 
 def lint_paths(targets: list[Path]) -> list[str]:
@@ -412,6 +440,7 @@ def lint_paths(targets: list[Path]) -> list[str]:
                 obs_restricted=obs_restricted,
                 threshold_restricted=threshold_restricted,
                 gc_restricted=_gc_restricted(file),
+                hook_restricted=_in_repro(file),
             )
             for line, rule, message in findings:
                 reports.append(f"{file}:{line}: {rule} {message}")
